@@ -20,6 +20,7 @@
 #include "kernels/registry.hpp"
 #include "kernels/topk.hpp"
 #include "kernels/sum.hpp"
+#include "obs/metrics.hpp"
 #include "pfs/client.hpp"
 #include "pfs/file_system.hpp"
 #include "sim/fluid_resource.hpp"
@@ -272,6 +273,58 @@ void BM_TopKConsume(benchmark::State& state) {
                           static_cast<std::int64_t>(chunk.size()));
 }
 BENCHMARK(BM_TopKConsume)->Arg(10)->Arg(1000);
+
+// Per-emission cost of an enabled metric, single- and multi-threaded (a
+// report, not a gate): the name-keyed helper builds its name and takes the
+// registry mutex; a resolved handle is one relaxed fetch_add;
+// Histogram::observe updates its buckets, quantile sub-bucket and
+// sum/min/max without a lock.
+
+/// Enables the global registry for one benchmark run: thread 0 flips it
+/// before the loop's start barrier and restores it after the end barrier.
+class ScopedMetricsOn {
+ public:
+  explicit ScopedMetricsOn(const benchmark::State& state) : lead_(state.thread_index() == 0) {
+    if (lead_) {
+      was_on_ = obs::metrics_enabled();
+      obs::MetricsRegistry::global().set_enabled(true);
+    }
+  }
+  ~ScopedMetricsOn() {
+    if (lead_) obs::MetricsRegistry::global().set_enabled(was_on_);
+  }
+  ScopedMetricsOn(const ScopedMetricsOn&) = delete;
+  ScopedMetricsOn& operator=(const ScopedMetricsOn&) = delete;
+
+ private:
+  bool lead_;
+  bool was_on_ = false;
+};
+
+void BM_ObsCountByName(benchmark::State& state) {
+  ScopedMetricsOn on(state);
+  for (auto _ : state) obs::count("bench.micro.count_by_name");
+}
+BENCHMARK(BM_ObsCountByName)->Threads(1)->Threads(4);
+
+void BM_ObsCountHandle(benchmark::State& state) {
+  ScopedMetricsOn on(state);
+  obs::CounterHandle handle("bench.micro.count_handle");
+  for (auto _ : state) obs::count(handle);
+}
+BENCHMARK(BM_ObsCountHandle)->Threads(1)->Threads(4);
+
+void BM_ObsHistogramObserve(benchmark::State& state) {
+  obs::Histogram& h = obs::MetricsRegistry::global().histogram("bench.micro.observe");
+  // Samples spread over many sub-buckets, from run-time state.
+  auto x = static_cast<std::uint64_t>(state.thread_index()) * 7919 + 1;
+  for (auto _ : state) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    h.observe(static_cast<double>(x >> 44));
+  }
+  benchmark::DoNotOptimize(h.bucket(0));
+}
+BENCHMARK(BM_ObsHistogramObserve)->Threads(1)->Threads(4);
 
 /// Console reporter that also captures per-benchmark timings so main() can
 /// emit BENCH_micro_core.json alongside the usual table.

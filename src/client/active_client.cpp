@@ -19,24 +19,6 @@ namespace dosas::client {
 
 namespace {
 
-/// Request class for per-stage latency histograms: the operation name up
-/// to its first parameter (e.g. "grep:needle" -> "grep").
-std::string stage_class(const std::string& operation) {
-  return operation.substr(0, operation.find(':'));
-}
-
-/// Close out one request's observability: the causal root span plus the
-/// end-to-end latency histogram (exemplared with the trace id).
-void emit_request_e2e(const obs::TraceContext& root, double t0_us, const std::string& operation) {
-  const double t1 = obs::now_us();
-  if (obs::tracing_enabled() && root.valid()) {
-    obs::Tracer::global().complete("client.read_ex", "client", t0_us, t1 - t0_us, root);
-  }
-  if (obs::metrics_enabled()) {
-    obs::observe("stage.e2e_us." + stage_class(operation), t1 - t0_us, root.trace_id);
-  }
-}
-
 /// Client-compute pacing (ActiveClientConfig::pace_compute_rates): the
 /// progress hook that charges each locally-processed chunk its cost at the
 /// table's C_{C,op} rate, on the injected clock. Null when pacing is off
@@ -44,7 +26,7 @@ void emit_request_e2e(const obs::TraceContext& root, double t0_us, const std::st
 kernels::ProgressFn compute_pacer(const std::shared_ptr<const server::RateTable>& rates,
                                   const std::string& operation) {
   if (rates == nullptr) return nullptr;
-  auto op_rates = rates->get(operation.substr(0, operation.find(':')));
+  auto op_rates = rates->get(std::string(kernels::operation_kernel(operation)));
   if (!op_rates.is_ok() || op_rates.value().compute <= 0.0) return nullptr;
   return [rate = op_rates.value().compute](Bytes chunk, Bytes) {
     if (chunk > 0) clock().sleep(static_cast<double>(chunk) / rate);
@@ -71,6 +53,16 @@ ActiveClient::ActiveClient(pfs::Client& pfs, const kernels::Registry& registry,
   auto chain = rpc::make_chain(servers_, options);
   transport_ = std::move(chain.head);
   breaker_ = std::move(chain.breaker);
+}
+
+void ActiveClient::emit_request_e2e(const obs::TraceContext& root, double t0_us,
+                                    const std::string& operation) {
+  const double t1 = obs::now_us();
+  if (obs::tracing_enabled() && root.valid()) {
+    obs::Tracer::global().complete("client.read_ex", "client", t0_us, t1 - t0_us, root);
+  }
+  obs::observe(metrics_.e2e_us, kernels::operation_kernel(operation), t1 - t0_us,
+               root.trace_id);
 }
 
 bool ActiveClient::circuit_open(pfs::ServerId server) {
@@ -354,7 +346,7 @@ ActiveClient::PendingReadEx::~PendingReadEx() {
   // never starts, a running one is interrupted) and close the root span so
   // the causal tree is not left dangling.
   cancel_outstanding("read_ex handle dropped before wait()");
-  if (ctx_.valid()) emit_request_e2e(ctx_, t0_us_, operation_);
+  if (ctx_.valid()) client_->emit_request_e2e(ctx_, t0_us_, operation_);
 }
 
 ActiveClient::PendingReadEx::PendingReadEx(PendingReadEx&& other) noexcept
@@ -397,7 +389,7 @@ Result<std::vector<std::uint8_t>> ActiveClient::PendingReadEx::wait() {
   auto result = resolve();
   // The root span of the causal tree: every transport/server/kernel span
   // of this request is a descendant of ctx_.
-  if (client_ != nullptr && ctx_.valid()) emit_request_e2e(ctx_, t0_us_, operation_);
+  if (client_ != nullptr && ctx_.valid()) client_->emit_request_e2e(ctx_, t0_us_, operation_);
   return result;
 }
 
@@ -600,8 +592,8 @@ Result<std::vector<std::uint8_t>> ActiveClient::resolve_response(
       const double t0 = obs_on ? obs::now_us() : 0.0;
       auto result = finish_locally(meta, ext, ext.object_offset, *kernel.value(), ctx);
       if (obs_on) {
-        obs::count("client.demoted");
-        obs::observe("client.demoted_compute_us", obs::now_us() - t0);
+        metrics_.demoted.get().inc();
+        metrics_.demoted_compute_us.get().observe(obs::now_us() - t0);
       }
       return result;
     }
@@ -680,8 +672,8 @@ Result<std::vector<std::uint8_t>> ActiveClient::resolve_response(
       const double t0 = obs_on ? obs::now_us() : 0.0;
       auto result = finish_locally(meta, ext, resume_from, *kernel.value(), ctx);
       if (obs_on) {
-        obs::count("client.resumed");
-        obs::observe("client.resume_compute_us", obs::now_us() - t0);
+        metrics_.resumed.get().inc();
+        metrics_.resume_compute_us.get().observe(obs::now_us() - t0);
       }
       return result;
     }
@@ -860,7 +852,7 @@ Result<std::vector<std::uint8_t>> ActiveClient::local_kernel(const pfs::FileMeta
       /*stop=*/nullptr, compute_pacer(config_.pace_compute_rates, operation));
   if (!streamed.is_ok()) return streamed.status();
   auto result = kernel.value()->finalize();
-  if (obs_on) obs::observe("client.local_kernel_us", obs::now_us() - t0);
+  if (obs_on) metrics_.local_kernel_us.get().observe(obs::now_us() - t0);
   return result;
 }
 

@@ -367,6 +367,11 @@ class ActiveClient {
   /// Count a deadline expiry on a final active response.
   void note_timed_out(const server::ActiveIoResponse& resp);
 
+  /// Close out one request's observability: the causal root span plus the
+  /// end-to-end latency histogram (exemplared with the trace id).
+  void emit_request_e2e(const obs::TraceContext& root, double t0_us,
+                        const std::string& operation);
+
   pfs::Client& pfs_;
   const kernels::Registry& registry_;
   std::vector<server::StorageServer*> servers_;
@@ -379,6 +384,18 @@ class ActiveClient {
 
   mutable std::mutex mu_;
   Stats stats_;
+
+  /// Per-request client.* and stage.e2e_us.<class> metric handles
+  /// (docs/OBSERVABILITY.md), resolved on first enabled emission.
+  struct Metrics {
+    obs::CounterHandle demoted{"client.demoted"};
+    obs::CounterHandle resumed{"client.resumed"};
+    obs::HistogramHandle demoted_compute_us{"client.demoted_compute_us"};
+    obs::HistogramHandle resume_compute_us{"client.resume_compute_us"};
+    obs::HistogramHandle local_kernel_us{"client.local_kernel_us"};
+    obs::HistogramFamily e2e_us{"stage.e2e_us."};
+  };
+  Metrics metrics_;
 };
 
 }  // namespace dosas::client

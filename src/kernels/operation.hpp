@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/status.hpp"
 
@@ -33,5 +34,12 @@ struct OperationSpec {
 
   bool operator==(const OperationSpec&) const = default;
 };
+
+/// Kernel name of an operation string, without parsing its parameters: the
+/// text up to the first ':' ("gaussian2d:width=1024" -> "gaussian2d"). It
+/// names the request class of the stage.* and kernel_mibps.* metrics.
+inline std::string_view operation_kernel(std::string_view operation) {
+  return operation.substr(0, operation.find(':'));
+}
 
 }  // namespace dosas::kernels

@@ -82,8 +82,9 @@ struct Envelope {
   /// transport: an unanswered request is cancelled server-side and fails
   /// kTimedOut, whether the caller is blocked in wait() or purely async.
   Seconds deadline = 0;
-  /// Trace-span name; the observability interceptor fills a default
-  /// ("rpc.active.s<target>") when empty. Every envelope gets a span.
+  /// Trace-span name; while tracing, the observability interceptor fills a
+  /// default ("rpc.active.s<target>") when empty, so every traced envelope
+  /// gets a span.
   std::string span;
   /// Causal trace context. The client stamps a per-leg context before
   /// submission (the observability interceptor allocates a root when the

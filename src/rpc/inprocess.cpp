@@ -12,6 +12,9 @@ namespace dosas::rpc {
 
 InProcessTransport::InProcessTransport(std::vector<server::StorageServer*> servers)
     : servers_(std::move(servers)) {
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    node_latency_us_.emplace_back("rpc.node_latency_us." + std::to_string(i));
+  }
   // Pre-register the watchdog's clock participation before spawning it so
   // a VirtualClock cannot advance in the spawn window (ClockParticipant).
   clock().add_participant();
@@ -76,8 +79,9 @@ PendingReply InProcessTransport::track(const Envelope& env) {
       }
       if (code == ErrorCode::kCancelled) ++cancelled_;
     }
-    if (kind == OpKind::kActiveIo && genuine && obs::metrics_enabled()) {
-      obs::observe("rpc.node_latency_us." + std::to_string(target), us, trace_id);
+    // An unknown target fails before reaching any node: no node latency.
+    if (kind == OpKind::kActiveIo && genuine && target < node_latency_us_.size()) {
+      obs::observe(node_latency_us_[target], us, trace_id);
     }
     if (drained) clock().wake_all(drained_cv_);
   });

@@ -16,12 +16,14 @@
 #pragma once
 
 #include <condition_variable>
+#include <deque>
 #include <mutex>
 #include <queue>
 #include <thread>
 #include <vector>
 
 #include "common/stats.hpp"
+#include "obs/metrics.hpp"
 #include "rpc/transport.hpp"
 #include "server/storage_server.hpp"
 
@@ -64,6 +66,9 @@ class InProcessTransport : public Transport {
   void watchdog_loop();
 
   const std::vector<server::StorageServer*> servers_;
+  /// rpc.node_latency_us.<target>, one per server (a deque: handles do not
+  /// move).
+  std::deque<obs::HistogramHandle> node_latency_us_;
 
   mutable std::mutex mu_;
   std::condition_variable drained_cv_;  ///< signalled when inflight_ hits 0

@@ -27,8 +27,18 @@ bool transient_active_failure(const Reply& r) {
 
 namespace {
 
-void obs_annotate(Envelope& env) {
-  if (env.span.empty()) {
+/// What the completion hook needs of an envelope after it has moved down
+/// the chain. The span name is kept only while tracing, its one consumer,
+/// so an empty `span` means "no trace event".
+struct Submitted {
+  OpKind kind = OpKind::kActiveIo;
+  obs::TraceContext trace;
+  std::string span;
+};
+
+Submitted obs_annotate(Envelope& env) {
+  const bool tracing = obs::tracing_enabled();
+  if (tracing && env.span.empty()) {
     env.span = std::string("rpc.") + op_kind_name(env.kind) + ".s" + std::to_string(env.target);
   }
   // Every envelope travels with a causal context: the client pre-stamps
@@ -39,56 +49,52 @@ void obs_annotate(Envelope& env) {
   if (env.submitted_at < 0) env.submitted_at = clock().now();
   env.active.trace = env.trace;
   env.active.submitted_at = env.submitted_at;
+  return Submitted{env.kind, env.trace, tracing ? env.span : std::string()};
 }
 
-/// Register the span/latency completion hook. Captures no transport state,
-/// so it is safe regardless of interceptor lifetime.
-void obs_observe(const Envelope& env, PendingReply& reply) {
-  const bool tracing = obs::tracing_enabled();
-  const bool metrics = obs::metrics_enabled();
-  if (!tracing && !metrics) return;
+/// Register the span/latency completion hook. Captures no transport state
+/// (`latency` is a registry histogram, not the interceptor's handle), so it
+/// is safe regardless of interceptor lifetime.
+void obs_observe(Submitted s, obs::Histogram* latency, PendingReply& reply) {
+  const bool tracing = !s.span.empty();
+  if (!tracing && latency == nullptr) return;
   if (tracing) {
     // Flow start on the submitting thread; the server's queue span emits
     // the matching finish, drawing the cross-thread arrow in the viewer.
-    obs::Tracer::global().flow_start(env.span, "flow", env.trace.span_id, env.trace);
+    obs::Tracer::global().flow_start(s.span, "flow", s.trace.span_id, s.trace);
   }
-  std::string span = env.span;
-  const char* kind = op_kind_name(env.kind);
-  const obs::TraceContext ctx = env.trace;
   const double t0 = obs::Tracer::global().now_us();
-  reply.on_complete([span = std::move(span), kind, t0, tracing, metrics, ctx](Reply&) {
+  reply.on_complete([span = std::move(s.span), latency, t0, ctx = s.trace](Reply&) {
     const double t1 = obs::Tracer::global().now_us();
-    if (tracing) obs::Tracer::global().complete(span, "rpc", t0, t1 - t0, ctx);
-    if (metrics) obs::observe(std::string("rpc.latency_us.") + kind, t1 - t0, ctx.trace_id);
+    if (!span.empty()) obs::Tracer::global().complete(span, "rpc", t0, t1 - t0, ctx);
+    if (latency != nullptr) latency->observe(t1 - t0, ctx.trace_id);
   });
 }
 
 }  // namespace
 
+obs::Histogram* ObsTransport::latency_histogram(OpKind kind) {
+  if (!obs::metrics_enabled()) return nullptr;
+  return &latency_us_[static_cast<std::size_t>(kind)].get();
+}
+
 PendingReply ObsTransport::submit(Envelope env) {
-  obs_annotate(env);
-  Envelope snapshot;  // the hook needs span/kind/trace after the move below
-  snapshot.kind = env.kind;
-  snapshot.span = env.span;
-  snapshot.trace = env.trace;
+  Submitted s = obs_annotate(env);
+  obs::Histogram* latency = latency_histogram(s.kind);
   auto reply = next_->submit(std::move(env));
-  obs_observe(snapshot, reply);
+  obs_observe(std::move(s), latency, reply);
   return reply;
 }
 
 std::vector<PendingReply> ObsTransport::submit_batch(std::vector<Envelope> envs) {
-  std::vector<Envelope> snapshots;
-  snapshots.reserve(envs.size());
-  for (auto& env : envs) {
-    obs_annotate(env);
-    Envelope s;
-    s.kind = env.kind;
-    s.span = env.span;
-    s.trace = env.trace;
-    snapshots.push_back(std::move(s));
-  }
+  std::vector<Submitted> submitted;
+  submitted.reserve(envs.size());
+  for (auto& env : envs) submitted.push_back(obs_annotate(env));
   auto replies = next_->submit_batch(std::move(envs));
-  for (std::size_t i = 0; i < replies.size(); ++i) obs_observe(snapshots[i], replies[i]);
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    obs::Histogram* latency = latency_histogram(submitted[i].kind);
+    obs_observe(std::move(submitted[i]), latency, replies[i]);
+  }
   return replies;
 }
 

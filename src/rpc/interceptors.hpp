@@ -22,11 +22,13 @@
 // "crossed the wire" (inside fault).
 #pragma once
 
+#include <array>
 #include <memory>
 
 #include "common/retry.hpp"
 #include "common/token_bucket.hpp"
 #include "fault/fault.hpp"
+#include "obs/metrics.hpp"
 #include "rpc/transport.hpp"
 
 namespace dosas::server {
@@ -54,15 +56,25 @@ class Filter : public Transport {
   const std::shared_ptr<Transport> next_;
 };
 
-/// Observability: stamps a default span name on unnamed envelopes, records
-/// one trace event per RPC (submit -> completion, on the tracer's manual
-/// async path), and a per-kind latency histogram. Costs two atomic loads
-/// per RPC while tracing/metrics are off.
+/// Observability: stamps a default span name on unnamed envelopes while
+/// tracing, records one trace event per RPC (submit -> completion, on the
+/// tracer's manual async path), and a per-kind latency histogram. Costs two
+/// atomic loads per RPC while tracing/metrics are off.
 class ObsTransport : public Filter {
  public:
   using Filter::Filter;
   PendingReply submit(Envelope env) override;
   std::vector<PendingReply> submit_batch(std::vector<Envelope> envs) override;
+
+ private:
+  /// rpc.latency_us.<kind> for an envelope kind; null while metrics are off.
+  obs::Histogram* latency_histogram(OpKind kind);
+
+  /// rpc.latency_us.<kind>, indexed by OpKind.
+  std::array<obs::HistogramHandle, 3> latency_us_{
+      obs::HistogramHandle{std::string("rpc.latency_us.") + op_kind_name(OpKind::kActiveIo)},
+      obs::HistogramHandle{std::string("rpc.latency_us.") + op_kind_name(OpKind::kRead)},
+      obs::HistogramHandle{std::string("rpc.latency_us.") + op_kind_name(OpKind::kWrite)}};
 };
 
 /// Demote-to-local circuit breaker: after `threshold` consecutive

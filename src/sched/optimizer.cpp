@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -22,14 +23,19 @@ Policy make_policy(const CostModel& model, std::span<const ActiveRequest> reques
 
 }  // namespace
 
+Optimizer::Optimizer(std::string name)
+    : name_(std::move(name)),
+      solver_us_("sched.solver_us." + name_),
+      solver_k_("sched.solver_k." + name_),
+      demotions_("sched.demotions." + name_) {}
+
 Policy Optimizer::run(const CostModel& model, std::span<const ActiveRequest> requests) const {
   if (!obs::metrics_enabled()) return optimize(model, requests);
   const double t0 = obs::now_us();
   Policy policy = optimize(model, requests);
-  const std::string strategy = name();
-  obs::observe("sched.solver_us." + strategy, obs::now_us() - t0);
-  obs::observe("sched.solver_k." + strategy, static_cast<double>(requests.size()));
-  obs::count("sched.demotions." + strategy, requests.size() - policy.active_count());
+  solver_us_.get().observe(obs::now_us() - t0);
+  solver_k_.get().observe(static_cast<double>(requests.size()));
+  demotions_.get().inc(requests.size() - policy.active_count());
   return policy;
 }
 

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "sched/cost_model.hpp"
 #include "sched/request.hpp"
 
@@ -20,7 +21,8 @@ namespace dosas::sched {
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
-  virtual std::string name() const = 0;
+  /// Strategy name, as make_optimizer() takes it.
+  const std::string& name() const { return name_; }
 
   /// Choose the assignment minimizing the Eq. 4 objective. The returned
   /// Policy's predicted_time is the model objective of that assignment.
@@ -34,6 +36,16 @@ class Optimizer {
   /// sched.demotions.<name> — see docs/OBSERVABILITY.md). Zero-cost while
   /// metrics are disabled.
   Policy run(const CostModel& model, std::span<const ActiveRequest> requests) const;
+
+ protected:
+  explicit Optimizer(std::string name);
+
+ private:
+  const std::string name_;
+  // Resolved on first enabled run(); mutable because run() is const.
+  mutable obs::HistogramHandle solver_us_;
+  mutable obs::HistogramHandle solver_k_;
+  mutable obs::CounterHandle demotions_;
 };
 
 /// Brute-force enumeration of all 2^k assignments (the paper's "try all
@@ -41,8 +53,8 @@ class Optimizer {
 /// it delegates to the exact polynomial algorithm.
 class ExhaustiveOptimizer final : public Optimizer {
  public:
-  explicit ExhaustiveOptimizer(std::size_t max_k = 20) : max_k_(max_k) {}
-  std::string name() const override { return "exhaustive"; }
+  explicit ExhaustiveOptimizer(std::size_t max_k = 20)
+      : Optimizer("exhaustive"), max_k_(max_k) {}
   Policy optimize(const CostModel& model,
                   std::span<const ActiveRequest> requests) const override;
 
@@ -57,8 +69,7 @@ class ExhaustiveOptimizer final : public Optimizer {
 /// (default 16) for memory; above the cap it delegates to exhaustive.
 class MatrixEnumOptimizer final : public Optimizer {
  public:
-  explicit MatrixEnumOptimizer(std::size_t max_k = 16) : max_k_(max_k) {}
-  std::string name() const override { return "matrix"; }
+  explicit MatrixEnumOptimizer(std::size_t max_k = 16) : Optimizer("matrix"), max_k_(max_k) {}
   Policy optimize(const CostModel& model,
                   std::span<const ActiveRequest> requests) const override;
 
@@ -74,7 +85,7 @@ class MatrixEnumOptimizer final : public Optimizer {
 /// O(k log k).
 class SortMinOptimizer final : public Optimizer {
  public:
-  std::string name() const override { return "sortmin"; }
+  SortMinOptimizer() : Optimizer("sortmin") {}
   Policy optimize(const CostModel& model,
                   std::span<const ActiveRequest> requests) const override;
 };
@@ -84,7 +95,7 @@ class SortMinOptimizer final : public Optimizer {
 /// results always match the other exact solvers.
 class BranchBoundOptimizer final : public Optimizer {
  public:
-  std::string name() const override { return "branchbound"; }
+  BranchBoundOptimizer() : Optimizer("branchbound") {}
   Policy optimize(const CostModel& model,
                   std::span<const ActiveRequest> requests) const override;
 
@@ -102,7 +113,7 @@ class BranchBoundOptimizer final : public Optimizer {
 /// paid.
 class GreedyOptimizer final : public Optimizer {
  public:
-  std::string name() const override { return "greedy"; }
+  GreedyOptimizer() : Optimizer("greedy") {}
   Policy optimize(const CostModel& model,
                   std::span<const ActiveRequest> requests) const override;
 };
@@ -110,7 +121,7 @@ class GreedyOptimizer final : public Optimizer {
 /// Static baseline: everything active (the AS scheme's implicit policy).
 class AllActiveOptimizer final : public Optimizer {
  public:
-  std::string name() const override { return "all-active"; }
+  AllActiveOptimizer() : Optimizer("all-active") {}
   Policy optimize(const CostModel& model,
                   std::span<const ActiveRequest> requests) const override;
 };
@@ -118,7 +129,7 @@ class AllActiveOptimizer final : public Optimizer {
 /// Static baseline: everything normal (the TS scheme's implicit policy).
 class AllNormalOptimizer final : public Optimizer {
  public:
-  std::string name() const override { return "all-normal"; }
+  AllNormalOptimizer() : Optimizer("all-normal") {}
   Policy optimize(const CostModel& model,
                   std::span<const ActiveRequest> requests) const override;
 };

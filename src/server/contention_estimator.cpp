@@ -23,12 +23,11 @@ void ContentionEstimator::observe(const SystemStatus& status) {
   if (obs::metrics_enabled()) {
     // Raw probe vs the smoothed estimate the scheduler actually acts on —
     // the estimated-vs-observed gap the estimator ablation studies.
-    obs::gauge_set("ce.cpu_observed", status.cpu_utilization);
-    obs::gauge_set("ce.cpu_estimated", cpu_ewma_.value());
-    obs::gauge_set("ce.queue_active",
-                   static_cast<double>(status.queued_active + status.running_kernels));
-    obs::observe("ce.queue_depth_samples",
-                 static_cast<double>(status.queued_active + status.running_kernels));
+    const auto depth = static_cast<double>(status.queued_active + status.running_kernels);
+    metrics_.cpu_observed.get().set(status.cpu_utilization);
+    metrics_.cpu_estimated.get().set(cpu_ewma_.value());
+    metrics_.queue_active.get().set(depth);
+    metrics_.queue_depth_samples.get().observe(depth);
   }
 }
 
@@ -70,11 +69,10 @@ Result<sched::Policy> ContentionEstimator::schedule(
   const double t0 = obs_on ? obs::now_us() : 0.0;
   auto finish = [&](Result<sched::Policy> policy) {
     if (obs_on) {
-      obs::observe("ce.decision_us", obs::now_us() - t0);
-      obs::count("ce.decisions");
+      metrics_.decision_us.get().observe(obs::now_us() - t0);
+      metrics_.decisions.get().inc();
       if (policy.is_ok()) {
-        obs::count("ce.demotions_decided",
-                   requests.size() - policy.value().active_count());
+        metrics_.demotions_decided.get().inc(requests.size() - policy.value().active_count());
       }
     }
     return policy;

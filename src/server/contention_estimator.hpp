@@ -19,6 +19,7 @@
 #include <string>
 
 #include "common/stats.hpp"
+#include "obs/metrics.hpp"
 #include "sched/cost_model.hpp"
 #include "sched/optimizer.hpp"
 #include "server/rate_table.hpp"
@@ -71,6 +72,19 @@ class ContentionEstimator {
   Ewma cpu_ewma_;
   Ewma mem_ewma_;
   mutable std::uint64_t decisions_ = 0;
+
+  /// ce.* metric handles (docs/OBSERVABILITY.md), resolved on first enabled
+  /// emission; mutable because schedule() is const.
+  struct Metrics {
+    obs::GaugeHandle cpu_observed{"ce.cpu_observed"};
+    obs::GaugeHandle cpu_estimated{"ce.cpu_estimated"};
+    obs::GaugeHandle queue_active{"ce.queue_active"};
+    obs::HistogramHandle queue_depth_samples{"ce.queue_depth_samples"};
+    obs::HistogramHandle decision_us{"ce.decision_us"};
+    obs::CounterHandle decisions{"ce.decisions"};
+    obs::CounterHandle demotions_decided{"ce.demotions_decided"};
+  };
+  mutable Metrics metrics_;
 };
 
 }  // namespace dosas::server

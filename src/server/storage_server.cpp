@@ -14,16 +14,6 @@
 
 namespace dosas::server {
 
-namespace {
-
-/// Request class for the stage.* histograms: the kernel name, i.e. the
-/// operation string up to its first parameter separator.
-std::string stage_class(const std::string& operation) {
-  return operation.substr(0, operation.find(':'));
-}
-
-}  // namespace
-
 const char* outcome_name(ActiveOutcome o) {
   switch (o) {
     case ActiveOutcome::kCompleted: return "COMPLETED";
@@ -34,6 +24,31 @@ const char* outcome_name(ActiveOutcome o) {
   return "?";
 }
 
+StorageServer::Metrics::Metrics(const std::string& prefix)
+    : normal_requests(prefix + ".normal_requests"),
+      completed(prefix + ".completed"),
+      demoted(prefix + ".demoted"),
+      interrupted(prefix + ".interrupted"),
+      checkpoint_bytes(prefix + ".checkpoint_bytes"),
+      failed(prefix + ".failed"),
+      coalesced(prefix + ".coalesced"),
+      timed_out(prefix + ".timed_out"),
+      cancelled(prefix + ".cancelled"),
+      probes(prefix + ".probes"),
+      interrupts_signalled(prefix + ".interrupts_signalled"),
+      pool_rejections(prefix + ".pool_rejections"),
+      worker_exceptions(prefix + ".worker_exceptions"),
+      kernel_exceptions(prefix + ".kernel_exceptions"),
+      cache_hits("arena.cache_hits"),
+      cache_invalidations("arena.cache_invalidations"),
+      cache_evictions("arena.cache_evictions"),
+      queue_depth(prefix + ".queue_depth"),
+      queue_depth_samples(prefix + ".queue_depth_samples"),
+      kernel_mibps(prefix + ".kernel_mibps."),
+      transport_us("stage.transport_us."),
+      queue_wait_us("stage.queue_wait_us."),
+      kernel_exec_us("stage.kernel_exec_us.") {}
+
 StorageServer::StorageServer(pfs::FileSystem& fs, pfs::ServerId server_id,
                              kernels::Registry registry, ContentionEstimator::Config ce_config,
                              RateTable rates, Config config)
@@ -43,6 +58,7 @@ StorageServer::StorageServer(pfs::FileSystem& fs, pfs::ServerId server_id,
       ce_(std::move(ce_config), std::move(rates)),
       config_(config),
       obs_name_("server" + std::to_string(server_id)),
+      metrics_(obs_name_),
       pool_(config.cores, [this](std::exception_ptr) {
         // Backstop for exceptions escaping run_kernel itself (run_kernel
         // already converts kernel throws to kFailed responses): count and
@@ -51,7 +67,7 @@ StorageServer::StorageServer(pfs::FileSystem& fs, pfs::ServerId server_id,
           std::lock_guard lock(mu_);
           ++stats_.kernel_exceptions;
         }
-        if (obs::metrics_enabled()) obs::count(obs_name_ + ".worker_exceptions");
+        obs::count(metrics_.worker_exceptions);
       }) {
   if (config_.probe_interval > 0.0) {
     // Pre-register the prober's clock participation before spawning it so
@@ -89,11 +105,11 @@ void StorageServer::set_fault_injector(std::shared_ptr<fault::FaultInjector> fi)
   faults_ = std::move(fi);
 }
 
-void StorageServer::obs_queue_depth_locked() const {
+void StorageServer::obs_queue_depth_locked() {
   if (!obs::metrics_enabled()) return;
   const auto depth = static_cast<double>(entries_.size());
-  obs::gauge_set(obs_name_ + ".queue_depth", depth);
-  obs::observe(obs_name_ + ".queue_depth_samples", depth);
+  metrics_.queue_depth.get().set(depth);
+  metrics_.queue_depth_samples.get().observe(depth);
 }
 
 StorageServer::~StorageServer() {
@@ -125,7 +141,7 @@ Result<BufferRef> StorageServer::serve_normal(pfs::FileHandle handle,
     ++normal_inflight_;
     ++stats_.normal_requests;
   }
-  if (obs::metrics_enabled()) obs::count(obs_name_ + ".normal_requests");
+  obs::count(metrics_.normal_requests);
   auto data = fs_.data_server(server_id_).read_object_ref(handle, object_offset, length);
   {
     std::lock_guard lock(mu_);
@@ -142,7 +158,7 @@ Status StorageServer::serve_write(pfs::FileHandle handle, Bytes object_offset,
     ++normal_inflight_;
     ++stats_.normal_requests;
   }
-  if (obs::metrics_enabled()) obs::count(obs_name_ + ".normal_requests");
+  obs::count(metrics_.normal_requests);
   // The data server's store is the write path's single copy; `data` is a
   // view of the client's buffer all the way down to here.
   Status st = fs_.data_server(server_id_).write_object(handle, object_offset, data.span());
@@ -189,9 +205,9 @@ std::pair<sched::RequestId, std::shared_ptr<StorageServer::Entry>> StorageServer
   obs_queue_depth_locked();
   obs::flight_record(obs::FlightEventKind::kStateTransition, request.trace.trace_id,
                      server_id_, id, "active request queued");
-  if (obs::metrics_enabled() && request.submitted_at >= 0) {
+  if (request.submitted_at >= 0) {
     // Transport stage: client-side hand-off to server-side admission.
-    obs::observe("stage.transport_us." + stage_class(request.operation),
+    obs::observe(metrics_.transport_us, kernels::operation_kernel(request.operation),
                  (now - request.submitted_at) * 1e6, request.trace.trace_id);
   }
   return {id, entry};
@@ -220,13 +236,13 @@ void StorageServer::count_outcome_locked(const ActiveIoResponse& response) {
   }
   if (obs::metrics_enabled()) {
     switch (response.outcome) {
-      case ActiveOutcome::kCompleted: obs::count(obs_name_ + ".completed"); break;
-      case ActiveOutcome::kRejected: obs::count(obs_name_ + ".demoted"); break;
+      case ActiveOutcome::kCompleted: metrics_.completed.get().inc(); break;
+      case ActiveOutcome::kRejected: metrics_.demoted.get().inc(); break;
       case ActiveOutcome::kInterrupted:
-        obs::count(obs_name_ + ".interrupted");
-        obs::count(obs_name_ + ".checkpoint_bytes", response.checkpoint.size());
+        metrics_.interrupted.get().inc();
+        metrics_.checkpoint_bytes.get().inc(response.checkpoint.size());
         break;
-      case ActiveOutcome::kFailed: obs::count(obs_name_ + ".failed"); break;
+      case ActiveOutcome::kFailed: metrics_.failed.get().inc(); break;
     }
   }
 }
@@ -282,7 +298,7 @@ bool StorageServer::launch_or_reject(sched::RequestId id, const std::shared_ptr<
       std::lock_guard lock(mu_);
       ++stats_.pool_rejections;
     }
-    if (obs::metrics_enabled()) obs::count(obs_name_ + ".pool_rejections");
+    obs::count(metrics_.pool_rejections);
     ActiveIoResponse resp;
     resp.outcome = ActiveOutcome::kFailed;
     resp.status =
@@ -310,12 +326,12 @@ std::optional<ActiveIoResponse> StorageServer::cache_lookup(const ActiveIoReques
     result_cache_.erase(it);
     ++stats_.cache_invalidations;
     ++stats_.cache_misses;
-    if (obs::metrics_enabled()) obs::count("arena.cache_invalidations");
+    obs::count(metrics_.cache_invalidations);
     return std::nullopt;
   }
   it->second.last_use = ++cache_tick_;
   ++stats_.cache_hits;
-  if (obs::metrics_enabled()) obs::count("arena.cache_hits");
+  obs::count(metrics_.cache_hits);
   ActiveIoResponse resp;
   resp.outcome = ActiveOutcome::kCompleted;
   resp.result = it->second.result;  // another view of the cached slab: no copy
@@ -335,7 +351,7 @@ void StorageServer::cache_insert(const ActiveIoRequest& request, std::uint64_t v
     }
     result_cache_.erase(victim);
     ++stats_.cache_evictions;
-    if (obs::metrics_enabled()) obs::count("arena.cache_evictions");
+    obs::count(metrics_.cache_evictions);
   }
   // The entry shares the response's slab (ref-counted view): inserting is
   // free, and the slab lives as long as any hit still holds a view.
@@ -359,7 +375,7 @@ StorageServer::ActiveTicket StorageServer::submit_active(ActiveIoRequest request
       std::lock_guard lock(mu_);
       ++stats_.active_completed;
     }
-    if (obs::metrics_enabled()) obs::count(obs_name_ + ".completed");
+    obs::count(metrics_.completed);
     if (done) done(std::move(*cached));
     return {};
   }
@@ -375,7 +391,7 @@ StorageServer::ActiveTicket StorageServer::submit_active(ActiveIoRequest request
       ticket.coalesced = true;
       twin->waiters.push_back(Waiter{ticket.waiter, std::move(done)});
       ++stats_.active_coalesced;
-      if (obs::metrics_enabled()) obs::count(obs_name_ + ".coalesced");
+      obs::count(metrics_.coalesced);
       obs::flight_record(obs::FlightEventKind::kCoalesce, request.trace.trace_id,
                          server_id_, twin->request.id, "coalesced onto in-flight twin");
       if (obs::tracing_enabled() && request.trace.valid()) {
@@ -431,7 +447,7 @@ std::vector<StorageServer::ActiveTicket> StorageServer::submit_active_batch(
         std::lock_guard lock(mu_);
         ++stats_.active_completed;
       }
-      if (obs::metrics_enabled()) obs::count(obs_name_ + ".completed");
+      obs::count(metrics_.completed);
       if (dones[i]) dones[i](std::move(*cached));
       continue;
     }
@@ -443,7 +459,7 @@ std::vector<StorageServer::ActiveTicket> StorageServer::submit_active_batch(
         tickets[i].coalesced = true;
         twin->waiters.push_back(Waiter{tickets[i].waiter, std::move(dones[i])});
         ++stats_.active_coalesced;
-        if (obs::metrics_enabled()) obs::count(obs_name_ + ".coalesced");
+        obs::count(metrics_.coalesced);
         obs::flight_record(obs::FlightEventKind::kCoalesce, requests[i].trace.trace_id,
                            server_id_, twin->request.id, "coalesced onto in-flight twin");
         if (obs::tracing_enabled() && requests[i].trace.valid()) {
@@ -485,10 +501,10 @@ bool StorageServer::cancel_active(const ActiveTicket& ticket, const Status& reas
       // both a timeout and a failure for this waiter.
       ++stats_.active_timed_out;
       ++stats_.active_failed;
-      if (obs::metrics_enabled()) obs::count(obs_name_ + ".timed_out");
+      obs::count(metrics_.timed_out);
     } else {
       ++stats_.active_cancelled;
-      if (obs::metrics_enabled()) obs::count(obs_name_ + ".cancelled");
+      obs::count(metrics_.cancelled);
     }
     obs::flight_record(obs::FlightEventKind::kCancel, entry->request.trace.trace_id,
                        server_id_, ticket.id,
@@ -596,7 +612,7 @@ void StorageServer::probe() {
     std::lock_guard lock(mu_);
     status = snapshot_status_locked();
   }
-  if (obs::metrics_enabled()) obs::count(obs_name_ + ".probes");
+  obs::count(metrics_.probes);
   ce_.observe(status);
   evaluate_policy();
 }
@@ -725,7 +741,7 @@ void StorageServer::evaluate_policy() {
         if (static_cast<double>(remaining) >
             config_.interrupt_min_remaining * static_cast<double>(total)) {
           entry.interrupt->store(true);
-          if (obs::metrics_enabled()) obs::count(obs_name_ + ".interrupts_signalled");
+          obs::count(metrics_.interrupts_signalled);
           obs::flight_record(obs::FlightEventKind::kInterrupt, entry.request.trace.trace_id,
                              server_id_, requests[i].id, "running kernel interrupt signalled");
           if (obs::tracing_enabled() && entry.request.trace.valid()) {
@@ -788,8 +804,8 @@ void StorageServer::run_kernel(sched::RequestId id) {
         tracer.flow_finish(obs_name_ + ".queue_wait", "flow", request.trace.span_id, qctx);
       }
       if (metrics) {
-        obs::observe("stage.queue_wait_us." + stage_class(request.operation), wait_us,
-                     request.trace.trace_id);
+        metrics_.queue_wait_us.get(kernels::operation_kernel(request.operation))
+            .observe(wait_us, request.trace.trace_id);
       }
     }
   }
@@ -930,10 +946,8 @@ void StorageServer::run_kernel(sched::RequestId id) {
         if (obs_on && processed > 0) {
           const double secs = (obs::now_us() - t0) * 1e-6;
           if (secs > 0.0) {
-            const std::string kernel_key =
-                request.operation.substr(0, request.operation.find(':'));
-            obs::observe(obs_name_ + ".kernel_mibps." + kernel_key,
-                         static_cast<double>(processed) / (1024.0 * 1024.0) / secs);
+            metrics_.kernel_mibps.get(kernels::operation_kernel(request.operation))
+                .observe(static_cast<double>(processed) / (1024.0 * 1024.0) / secs);
           }
         }
         done_bytes = processed;
@@ -944,7 +958,7 @@ void StorageServer::run_kernel(sched::RequestId id) {
           std::lock_guard lock(mu_);
           ++stats_.kernel_exceptions;
         }
-        if (obs_on) obs::count(obs_name_ + ".kernel_exceptions");
+        if (obs_on) metrics_.kernel_exceptions.get().inc();
         resp.outcome = ActiveOutcome::kFailed;
         resp.status = error(ErrorCode::kInternal, std::string("kernel threw: ") + e.what());
         done_bytes = 0;
@@ -953,15 +967,15 @@ void StorageServer::run_kernel(sched::RequestId id) {
           std::lock_guard lock(mu_);
           ++stats_.kernel_exceptions;
         }
-        if (obs_on) obs::count(obs_name_ + ".kernel_exceptions");
+        if (obs_on) metrics_.kernel_exceptions.get().inc();
         resp.outcome = ActiveOutcome::kFailed;
         resp.status = error(ErrorCode::kInternal, "kernel threw a non-std exception");
         done_bytes = 0;
       }
     }();
     if (obs_on) {
-      obs::observe("stage.kernel_exec_us." + stage_class(request.operation),
-                   obs::now_us() - t0, request.trace.trace_id);
+      metrics_.kernel_exec_us.get(kernels::operation_kernel(request.operation))
+          .observe(obs::now_us() - t0, request.trace.trace_id);
     }
   }
   complete_entry(id, entry, std::move(resp), done_bytes);

@@ -40,6 +40,7 @@
 #include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "kernels/registry.hpp"
+#include "obs/metrics.hpp"
 #include "pfs/file_system.hpp"
 #include "server/contention_estimator.hpp"
 #include "server/messages.hpp"
@@ -274,14 +275,29 @@ class StorageServer {
   SystemStatus snapshot_status_locked() const;
 
   /// Update the `server<id>.queue_depth` gauge/histogram; caller holds mu_.
-  void obs_queue_depth_locked() const;
+  void obs_queue_depth_locked();
 
   pfs::FileSystem& fs_;
   const pfs::ServerId server_id_;
   kernels::Registry registry_;
   ContentionEstimator ce_;
   Config config_;
-  const std::string obs_name_;  ///< metric prefix: "server<id>"
+  const std::string obs_name_;  ///< metric and span prefix: "server<id>"
+
+  /// Handles for every metric this server emits per request
+  /// (docs/OBSERVABILITY.md), resolved on first enabled emission.
+  struct Metrics {
+    explicit Metrics(const std::string& prefix);
+    obs::CounterHandle normal_requests, completed, demoted, interrupted, checkpoint_bytes,
+        failed, coalesced, timed_out, cancelled, probes, interrupts_signalled, pool_rejections,
+        worker_exceptions, kernel_exceptions;
+    obs::CounterHandle cache_hits, cache_invalidations, cache_evictions;  ///< arena.*
+    obs::GaugeHandle queue_depth;
+    obs::HistogramHandle queue_depth_samples;
+    obs::HistogramFamily kernel_mibps;  ///< server<id>.kernel_mibps.<kernel>
+    obs::HistogramFamily transport_us, queue_wait_us, kernel_exec_us;  ///< stage.*.<class>
+  };
+  Metrics metrics_;
 
   mutable std::mutex mu_;
   std::map<sched::RequestId, std::shared_ptr<Entry>> entries_;

@@ -174,7 +174,7 @@ ScenarioOutput run_striped(std::uint64_t seed) {
   ScopedClockOverride override_clock(vc);
   obs::MetricsRegistry::global().clear();
   obs::Tracer::global().clear();
-  obs::Tracer::global().set_enabled(true);  // metrics stay off: P2 order races
+  obs::Tracer::global().set_enabled(true);  // metrics stay off: histogram sums race on order
 
   ScenarioOutput out;
   const Seconds wall_start = wall_clock().now();

@@ -1,12 +1,15 @@
 // Tests for the observability subsystem: metrics registry thread safety,
-// histogram bucket semantics, the disabled-path no-op guarantee, and the
-// Chrome trace JSON export.
+// histogram bucket semantics and quantile error, metric handles, the
+// disabled-path no-op guarantee, and the Chrome trace JSON export.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -66,23 +69,78 @@ TEST(Histogram, LeBucketBoundaries) {
 }
 
 TEST(Histogram, ConcurrentObservesKeepTotalCount) {
+  // The observe path is lock-free: concurrent samples must still leave
+  // count, sum, min, max, every bucket, the quantiles (order-independent)
+  // and the exemplar exactly as one thread observing the same samples.
   MetricsRegistry reg;
   Histogram& h = reg.histogram("lat");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
+  // Integer-valued samples plus one fraction: every partial sum is exact,
+  // so the sum cannot depend on the interleaving.
+  auto sample = [](int t, int i) {
+    if (t == 3 && i == 17) return 12345.0;  // the unique max
+    if (t == 5 && i == 4000) return 0.25;   // the unique min
+    return static_cast<double>((t * kPerThread + i) % 100 + 1);
+  };
+  auto trace_of = [](int t, int i) { return static_cast<std::uint64_t>(t * kPerThread + i + 1); };
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        h.observe(static_cast<double>((t * kPerThread + i) % 100));
-      }
+      for (int i = 0; i < kPerThread; ++i) h.observe(sample(t, i), trace_of(t, i));
     });
   }
   for (auto& w : workers) w.join();
+
+  Histogram reference;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) reference.observe(sample(t, i), trace_of(t, i));
+  }
   std::uint64_t total = 0;
-  for (std::size_t b = 0; b < h.bucket_count(); ++b) total += h.bucket(b);
+  for (std::size_t b = 0; b < h.bucket_count(); ++b) {
+    EXPECT_EQ(h.bucket(b), reference.bucket(b)) << "bucket " << b;
+    total += h.bucket(b);
+  }
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(h.summary().count, static_cast<std::size_t>(kThreads) * kPerThread);
+  const auto s = h.summary();
+  const auto r = reference.summary();
+  EXPECT_EQ(s.count, static_cast<std::size_t>(kThreads) * kPerThread);
+  EXPECT_EQ(s.mean, r.mean);
+  EXPECT_EQ(s.min, 0.25);
+  EXPECT_EQ(s.max, 12345.0);
+  EXPECT_EQ(s.p50, r.p50);
+  EXPECT_EQ(s.p90, r.p90);
+  EXPECT_EQ(s.p99, r.p99);
+  EXPECT_EQ(s.exemplar_trace_id, trace_of(3, 17));
+}
+
+TEST(Histogram, QuantilesWithinTheBucketErrorOverSixDecades) {
+  // Log-uniform samples over [1, 1e6): the estimate of each quantile must
+  // sit within kQuantileRelError of the exact nearest-rank sample.
+  std::mt19937_64 rng(2012);
+  std::uniform_real_distribution<double> decades(0.0, 6.0);
+  std::vector<double> xs(20000);
+  for (auto& x : xs) x = std::pow(10.0, decades(rng));
+  Histogram h;
+  for (double x : xs) h.observe(x);
+  std::sort(xs.begin(), xs.end());
+  auto exact = [&](std::size_t pct) { return xs[(pct * xs.size() + 99) / 100 - 1]; };
+
+  const auto s = h.summary();
+  EXPECT_EQ(s.count, xs.size());
+  EXPECT_EQ(s.min, xs.front());
+  EXPECT_EQ(s.max, xs.back());
+  for (auto [pct, est] : {std::pair{50u, s.p50}, std::pair{90u, s.p90}, std::pair{99u, s.p99}}) {
+    const double want = exact(pct);
+    EXPECT_LE(std::abs(est - want) / want, Histogram::kQuantileRelError)
+        << "p" << pct << ": estimate " << est << " vs exact " << want;
+  }
+
+  // Zero (below the log range) reads back exactly, as queue depths need.
+  Histogram depth;
+  for (double d : {0.0, 0.0, 0.0, 5.0}) depth.observe(d);
+  EXPECT_EQ(depth.summary().p50, 0.0);
+  EXPECT_EQ(depth.summary().p99, 5.0);
 }
 
 TEST(P2Quantile, TracksMedianOfShuffledStream) {
@@ -152,6 +210,50 @@ TEST(Registry, EnabledHelpersRecord) {
   EXPECT_DOUBLE_EQ(reg.gauge("test_obs.enabled_gauge").value(), 4.0);
   EXPECT_EQ(reg.histogram("test_obs.enabled_hist").summary().count, 1u);
   reg.set_enabled(false);
+}
+
+TEST(Handles, ResolveToTheRegistryMetricOfTheirName) {
+  auto& reg = MetricsRegistry::global();
+  reg.set_enabled(true);
+  CounterHandle counter("test_obs.handle_counter");
+  GaugeHandle gauge("test_obs.handle_gauge");
+  HistogramHandle hist("test_obs.handle_hist");
+  count(counter, 2);
+  gauge_set(gauge, 4.0);
+  observe(hist, 8.0, 5);
+  EXPECT_EQ(&counter.get(), &reg.counter("test_obs.handle_counter"));
+  EXPECT_EQ(&gauge.get(), &reg.gauge("test_obs.handle_gauge"));
+  EXPECT_EQ(&hist.get(), &reg.histogram("test_obs.handle_hist"));
+  EXPECT_EQ(reg.counter("test_obs.handle_counter").value(), 2u);
+  EXPECT_EQ(reg.histogram("test_obs.handle_hist").summary().exemplar_trace_id, 5u);
+
+  // A family resolves "<prefix><suffix>", also past its fixed slots.
+  HistogramFamily family("test_obs.family.");
+  for (int i = 0; i < 20; ++i) {
+    const std::string suffix = "k" + std::to_string(i);
+    observe(family, suffix, 1.0);
+    EXPECT_EQ(&family.get(suffix), &reg.histogram("test_obs.family." + suffix)) << suffix;
+  }
+  EXPECT_EQ(reg.histogram("test_obs.family.k0").summary().count, 1u);
+  EXPECT_EQ(reg.histogram("test_obs.family.k19").summary().count, 1u);
+  reg.set_enabled(false);
+}
+
+TEST(Handles, DisabledEmissionRegistersNothing) {
+  auto& reg = MetricsRegistry::global();
+  reg.set_enabled(false);
+  CounterHandle counter("test_obs.disabled_handle_counter");
+  GaugeHandle gauge("test_obs.disabled_handle_gauge");
+  HistogramHandle hist("test_obs.disabled_handle_hist");
+  HistogramFamily family("test_obs.disabled_family.");
+  count(counter);
+  gauge_set(gauge, 1.0);
+  observe(hist, 1.0, 7);
+  observe(family, "sum", 1.0);
+  EXPECT_FALSE(reg.contains("test_obs.disabled_handle_counter"));
+  EXPECT_FALSE(reg.contains("test_obs.disabled_handle_gauge"));
+  EXPECT_FALSE(reg.contains("test_obs.disabled_handle_hist"));
+  EXPECT_FALSE(reg.contains("test_obs.disabled_family.sum"));
 }
 
 TEST(Registry, TextOutputIsDeterministicallySorted) {

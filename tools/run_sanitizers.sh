@@ -39,7 +39,7 @@ run_one() {
     # cases, so run the binaries).
     local bin
     for bin in test_server test_stress test_resilience test_fault test_dst \
-               test_hedge test_straggler test_ring test_arena test_dataplane; do
+               test_hedge test_straggler test_ring test_arena test_dataplane test_obs; do
       "$dir/tests/$bin"
     done
   else
