@@ -444,17 +444,22 @@ TEST(Client, SparseWriteReadsZeros) {
 }
 
 // Property sweep: round-trips across server counts and strip sizes.
+// gtest names each case by a byte dump of its ClientCase, so the struct must
+// hold no padding: uninitialised padding bytes would change the names on
+// every build. `servers` is 64-bit for that reason alone.
 struct ClientCase {
-  std::uint32_t servers;
+  std::uint64_t servers;
   Bytes strip;
   Bytes file_size;
 };
+
+static_assert(sizeof(ClientCase) == 3 * sizeof(std::uint64_t));
 
 class ClientProperty : public ::testing::TestWithParam<ClientCase> {};
 
 TEST_P(ClientProperty, RandomExtentsRoundTrip) {
   const auto p = GetParam();
-  FileSystem fs(p.servers, p.strip);
+  FileSystem fs(static_cast<std::uint32_t>(p.servers), p.strip);
   Client client(fs);
   const auto data = pattern_bytes(p.file_size, p.servers * 131 + p.strip);
   auto meta = write_file(client, "/f", data);

@@ -24,17 +24,22 @@ namespace {
 
 // ---------------------------------------------------------------- PFS fuzz
 
+// gtest names each case by a byte dump of its FuzzCase, so the struct must
+// hold no padding (uninitialised bytes would change the names on every build):
+// `servers` is 64-bit for that reason alone.
 struct FuzzCase {
   std::uint64_t seed;
-  std::uint32_t servers;
+  std::uint64_t servers;
   Bytes strip;
 };
+
+static_assert(sizeof(FuzzCase) == 3 * sizeof(std::uint64_t));
 
 class PfsFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(PfsFuzz, MatchesReferenceModelUnderRandomOps) {
   const auto p = GetParam();
-  pfs::FileSystem fs(p.servers, p.strip);
+  pfs::FileSystem fs(static_cast<std::uint32_t>(p.servers), p.strip);
   pfs::Client client(fs);
   Rng rng(p.seed);
 
