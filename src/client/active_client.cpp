@@ -232,6 +232,19 @@ Result<std::vector<std::uint8_t>> ActiveClient::read_ex(const pfs::FileMeta& met
   return read_ex_async(meta, offset, length, operation).wait();
 }
 
+Result<const ActiveClient::OpTraits*> ActiveClient::op_traits(const std::string& operation) {
+  {
+    std::lock_guard lock(mu_);
+    if (auto it = op_traits_.find(operation); it != op_traits_.end()) return &it->second;
+  }
+  auto probe = registry_.create(operation);
+  if (!probe.is_ok()) return probe.status();
+  probe.value()->reset();
+  OpTraits traits{probe.value()->mergeable(), probe.value()->finalize()};
+  std::lock_guard lock(mu_);
+  return &op_traits_.try_emplace(operation, std::move(traits)).first->second;
+}
+
 ActiveClient::PendingReadEx ActiveClient::read_ex_async(const pfs::FileMeta& meta, Bytes offset,
                                                         Bytes length,
                                                         const std::string& operation) {
@@ -258,15 +271,14 @@ ActiveClient::PendingReadEx ActiveClient::read_ex_async(const pfs::FileMeta& met
   if (offset >= size) length = 0;
   length = std::min(length, size > offset ? size - offset : 0);
 
-  auto probe = registry_.create(operation);
-  if (!probe.is_ok()) {
-    pending.immediate_ = probe.status();
+  auto traits = op_traits(operation);
+  if (!traits.is_ok()) {
+    pending.immediate_ = traits.status();
     return pending;
   }
 
   if (length == 0) {
-    probe.value()->reset();
-    pending.immediate_ = probe.value()->finalize();
+    pending.immediate_ = traits.value()->empty_result;
     return pending;
   }
 
@@ -286,7 +298,7 @@ ActiveClient::PendingReadEx ActiveClient::read_ex_async(const pfs::FileMeta& met
   const bool aligned = meta.striping.strip_size % sizeof(double) == 0 &&
                        offset % sizeof(double) == 0;
   if (extents.size() > 1 &&
-      !(config_.allow_striped_fanout && probe.value()->mergeable() && aligned)) {
+      !(config_.allow_striped_fanout && traits.value()->mergeable && aligned)) {
     pending.mode_ = PendingReadEx::Mode::kLocalPass;
     pending.offset_ = offset;
     pending.length_ = length;
@@ -734,14 +746,13 @@ std::vector<Result<std::vector<std::uint8_t>>> ActiveClient::read_ex_batch(
     if (item.offset >= size) length = 0;
     length = std::min(length, size > item.offset ? size - item.offset : 0);
 
-    auto probe = registry_.create(item.operation);
-    if (!probe.is_ok()) {
-      results[i] = probe.status();
+    auto traits = op_traits(item.operation);
+    if (!traits.is_ok()) {
+      results[i] = traits.status();
       continue;
     }
     if (length == 0) {
-      probe.value()->reset();
-      results[i] = probe.value()->finalize();
+      results[i] = traits.value()->empty_result;
       continue;
     }
     const auto extents = server_extents(item.meta, item.offset, length);

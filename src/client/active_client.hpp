@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -296,6 +297,18 @@ class ActiveClient {
   rpc::Envelope active_envelope(const pfs::FileMeta& meta, const ServerExtent& ext,
                                 const std::string& operation) const;
 
+  /// What planning a read needs of an operation without running it,
+  /// derived once per operation string from a probe kernel (the client's
+  /// counterpart of the storage server's OpInfo).
+  struct OpTraits {
+    bool mergeable = false;                  ///< striped legs can fan out and merge
+    std::vector<std::uint8_t> empty_result;  ///< a fresh kernel's finalize(): a 0-byte read
+  };
+
+  /// The cached traits of `operation`. An operation the registry cannot
+  /// build returns the registry's error and is not cached.
+  Result<const OpTraits*> op_traits(const std::string& operation);
+
   /// Blocking object-extent read from one server through the transport.
   /// A valid `ctx` joins the read to an existing causal tree (the
   /// demote/resume paths); an invalid one lets the transport start a fresh
@@ -384,6 +397,7 @@ class ActiveClient {
 
   mutable std::mutex mu_;
   Stats stats_;
+  std::map<std::string, OpTraits, std::less<>> op_traits_;  ///< under mu_; never trimmed
 
   /// Per-request client.* and stage.e2e_us.<class> metric handles
   /// (docs/OBSERVABILITY.md), resolved on first enabled emission.

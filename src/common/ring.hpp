@@ -13,6 +13,12 @@
 //     condition variable *through the Clock seam* (clock.hpp), so a worker
 //     blocked in receive() counts as quiescent under a VirtualClock and
 //     DST bit-identity survives the swap;
+//   * spin budget: fixed at construction from the CPUs the constructing
+//     thread may run on. On one CPU nobody else can fill (or drain) the
+//     ring while we spin, so the budget is 0 and a miss parks at once;
+//     otherwise (or when the affinity cannot be read) it is kSpins. This
+//     is Go's canSpin (ncpu > 1) and the kernel's optimistic-spinning
+//     rule: spinning only pays when the other side runs in parallel;
 //   * close(): same contract as Channel — sends fail after close, and any
 //     send() that returned true is guaranteed to be drained by receivers
 //     (a producers-in-flight count lets receivers distinguish "drained"
@@ -44,6 +50,10 @@
 #include <new>
 #include <optional>
 #include <utility>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/clock.hpp"
 #include "common/queue_poll.hpp"
@@ -109,7 +119,8 @@ class Ring {
   /// always bounded; pick the capacity so steady-state sends never park
   /// (an unbounded queue just hides the backpressure somewhere worse).
   explicit Ring(std::size_t capacity)
-      : mask_(round_up_pow2(capacity < 2 ? 2 : capacity) - 1),
+      : spins_(spin_budget_for_this_thread()),
+        mask_(round_up_pow2(capacity < 2 ? 2 : capacity) - 1),
         slots_(std::make_unique<Slot[]>(mask_ + 1)) {
     for (std::size_t i = 0; i <= mask_; ++i) {
       slots_[i].seq.store(i, std::memory_order_relaxed);
@@ -193,13 +204,14 @@ class Ring {
   /// drained; nullopt means closed-and-empty (same contract as Channel).
   std::optional<T> receive() {
     std::optional<T> out;
-    for (int i = 0; i < kSpins; ++i) {
+    for (int i = 0;; ++i) {
       const QueuePoll r = poll_once(out);
       if (r == QueuePoll::kItem) {
         wake_producers();
         return out;
       }
       if (r == QueuePoll::kClosed) return std::nullopt;
+      if (i == spins_) break;
       cpu_relax();
     }
     QueuePoll state = QueuePoll::kEmpty;
@@ -257,6 +269,11 @@ class Ring {
   }
 
   std::size_t capacity() const { return mask_ + 1; }
+
+  /// Paused retries a blocking send()/receive() makes after its first
+  /// failed attempt, before it parks (0 when the ring was built on a
+  /// thread confined to one CPU).
+  int spin_budget() const { return spins_; }
 
   RingStats stats() const {
     RingStats s;
@@ -370,13 +387,26 @@ class Ring {
     }
   }
 
+  /// kSpins unless the calling thread may run on exactly one CPU (then 0):
+  /// a spinning consumer on the producer's only CPU just delays the
+  /// producer it waits for.
+  static int spin_budget_for_this_thread() {
+#if defined(__linux__)
+    cpu_set_t cpus;
+    CPU_ZERO(&cpus);
+    if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0 && CPU_COUNT(&cpus) == 1) return 0;
+#endif
+    return kSpins;
+  }
+
+  /// One attempt, then up to spins_ retries: even with a zero budget a
+  /// send that finds room never touches the parking mutex.
   PushResult spin_push(T& item) {
-    for (int i = 0; i < kSpins; ++i) {
+    for (int i = 0;; ++i) {
       const PushResult r = push_slot(item);
-      if (r != PushResult::kFull) return r;
+      if (r != PushResult::kFull || i == spins_) return r;
       cpu_relax();
     }
-    return PushResult::kFull;
   }
 
   /// One tri-state attempt: kItem fills `out`; kClosed is only reported
@@ -466,6 +496,7 @@ class Ring {
 
   static constexpr int kSpins = 64;
 
+  const int spins_;  ///< spin budget, see spin_budget_for_this_thread()
   const std::size_t mask_;
   std::unique_ptr<Slot[]> slots_;
 

@@ -72,7 +72,10 @@ class Gaussian2dKernel final : public Kernel {
 
  private:
   void push_row(const double* row);
-  void filter_center(const double* above, const double* center, const double* below);
+  /// The per-item hot loop; line-aligned like SumKernel::process_items so
+  /// its placement does not drift with unrelated code.
+  [[gnu::aligned(64)]] void filter_center(const double* above, const double* center,
+                                          const double* below);
 
   std::size_t width_;
   Mode mode_;

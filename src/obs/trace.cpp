@@ -274,21 +274,15 @@ void Tracer::clear() {
   next_trace_id_.store(1, std::memory_order_relaxed);
 }
 
-ScopedTrace::ScopedTrace(std::string name, std::string cat) {
-  auto& tracer = Tracer::global();
-  if (!tracer.enabled()) return;
-  active_ = true;
-  name_ = std::move(name);
-  cat_ = std::move(cat);
-  start_us_ = tracer.now_us();
-}
+ScopedTrace::ScopedTrace(std::string_view name, std::string_view cat)
+    : ScopedTrace(name, cat, TraceContext{}) {}
 
-ScopedTrace::ScopedTrace(std::string name, std::string cat, const TraceContext& ctx) {
+ScopedTrace::ScopedTrace(std::string_view name, std::string_view cat, const TraceContext& ctx) {
   auto& tracer = Tracer::global();
   if (!tracer.enabled()) return;
   active_ = true;
-  name_ = std::move(name);
-  cat_ = std::move(cat);
+  name_ = name;
+  cat_ = cat;
   start_us_ = tracer.now_us();
   ctx_ = ctx;
 }

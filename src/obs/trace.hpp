@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.hpp"
@@ -139,13 +140,15 @@ class Tracer {
 inline bool tracing_enabled() { return Tracer::global().enabled(); }
 
 /// RAII scope producing one complete event on the global tracer; measures
-/// nothing and stores nothing while tracing is disabled.
+/// nothing and stores nothing while tracing is disabled — the names are
+/// views, copied only when tracing is on, so a disabled scope allocates
+/// nothing.
 class ScopedTrace {
  public:
-  ScopedTrace(std::string name, std::string cat);
+  ScopedTrace(std::string_view name, std::string_view cat);
   /// Context-carrying scope: the resulting complete event joins the causal
   /// tree identified by `ctx`.
-  ScopedTrace(std::string name, std::string cat, const TraceContext& ctx);
+  ScopedTrace(std::string_view name, std::string_view cat, const TraceContext& ctx);
   ~ScopedTrace();
 
   ScopedTrace(const ScopedTrace&) = delete;

@@ -34,6 +34,8 @@ struct Submitted {
   OpKind kind = OpKind::kActiveIo;
   obs::TraceContext trace;
   std::string span;
+  obs::Histogram* latency = nullptr;  ///< rpc.latency_us.<kind>; null: metrics off
+  double t0_us = 0.0;                 ///< taken before the envelope goes down the chain
 };
 
 Submitted obs_annotate(Envelope& env) {
@@ -52,19 +54,27 @@ Submitted obs_annotate(Envelope& env) {
   return Submitted{env.kind, env.trace, tracing ? env.span : std::string()};
 }
 
-/// Register the span/latency completion hook. Captures no transport state
-/// (`latency` is a registry histogram, not the interceptor's handle), so it
-/// is safe regardless of interceptor lifetime.
-void obs_observe(Submitted s, obs::Histogram* latency, PendingReply& reply) {
+/// Start the clock (and the flow arrow) before the envelope goes down the
+/// chain: an in-process reply can complete inside submit(), and its
+/// latency must include that work.
+void obs_start(Submitted& s) {
   const bool tracing = !s.span.empty();
-  if (!tracing && latency == nullptr) return;
+  if (!tracing && s.latency == nullptr) return;
   if (tracing) {
     // Flow start on the submitting thread; the server's queue span emits
     // the matching finish, drawing the cross-thread arrow in the viewer.
     obs::Tracer::global().flow_start(s.span, "flow", s.trace.span_id, s.trace);
   }
-  const double t0 = obs::Tracer::global().now_us();
-  reply.on_complete([span = std::move(s.span), latency, t0, ctx = s.trace](Reply&) {
+  s.t0_us = obs::Tracer::global().now_us();
+}
+
+/// Register the span/latency completion hook. Captures no transport state
+/// (`latency` is a registry histogram, not the interceptor's handle), so it
+/// is safe regardless of interceptor lifetime.
+void obs_observe(Submitted s, PendingReply& reply) {
+  if (s.span.empty() && s.latency == nullptr) return;
+  reply.on_complete([span = std::move(s.span), latency = s.latency, t0 = s.t0_us,
+                     ctx = s.trace](Reply&) {
     const double t1 = obs::Tracer::global().now_us();
     if (!span.empty()) obs::Tracer::global().complete(span, "rpc", t0, t1 - t0, ctx);
     if (latency != nullptr) latency->observe(t1 - t0, ctx.trace_id);
@@ -80,20 +90,24 @@ obs::Histogram* ObsTransport::latency_histogram(OpKind kind) {
 
 PendingReply ObsTransport::submit(Envelope env) {
   Submitted s = obs_annotate(env);
-  obs::Histogram* latency = latency_histogram(s.kind);
+  s.latency = latency_histogram(s.kind);
+  obs_start(s);
   auto reply = next_->submit(std::move(env));
-  obs_observe(std::move(s), latency, reply);
+  obs_observe(std::move(s), reply);
   return reply;
 }
 
 std::vector<PendingReply> ObsTransport::submit_batch(std::vector<Envelope> envs) {
   std::vector<Submitted> submitted;
   submitted.reserve(envs.size());
-  for (auto& env : envs) submitted.push_back(obs_annotate(env));
+  for (auto& env : envs) {
+    submitted.push_back(obs_annotate(env));
+    submitted.back().latency = latency_histogram(submitted.back().kind);
+    obs_start(submitted.back());
+  }
   auto replies = next_->submit_batch(std::move(envs));
   for (std::size_t i = 0; i < replies.size(); ++i) {
-    obs::Histogram* latency = latency_histogram(submitted[i].kind);
-    obs_observe(std::move(submitted[i]), latency, replies[i]);
+    obs_observe(std::move(submitted[i]), replies[i]);
   }
   return replies;
 }

@@ -58,6 +58,8 @@ StorageServer::StorageServer(pfs::FileSystem& fs, pfs::ServerId server_id,
       ce_(std::move(ce_config), std::move(rates)),
       config_(config),
       obs_name_("server" + std::to_string(server_id)),
+      serve_active_span_(obs_name_ + ".serve_active"),
+      evaluate_policy_span_(obs_name_ + ".evaluate_policy"),
       metrics_(obs_name_),
       pool_(config.cores, [this](std::exception_ptr) {
         // Backstop for exceptions escaping run_kernel itself (run_kernel
@@ -128,7 +130,7 @@ StorageServer::~StorageServer() {
     std::lock_guard lock(mu_);
     for (auto& [id, entry] : entries_) {
       entry->reject_before_start = true;
-      if (entry->interrupt) entry->interrupt->store(true);
+      entry->interrupt.store(true);
     }
   }
   pool_.shutdown();
@@ -178,7 +180,7 @@ std::shared_ptr<StorageServer::Entry> StorageServer::find_coalesce_locked(
   if (request.is_resumption()) return nullptr;
   for (auto& [id, entry] : entries_) {
     if (entry->state == EntryState::kDone) continue;
-    if (entry->reject_before_start || entry->interrupt->load()) continue;
+    if (entry->reject_before_start || entry->interrupt.load()) continue;
     const auto& r = entry->request;
     if (r.is_resumption()) continue;
     if (r.handle == request.handle && r.object_offset == request.object_offset &&
@@ -189,28 +191,76 @@ std::shared_ptr<StorageServer::Entry> StorageServer::find_coalesce_locked(
   return nullptr;
 }
 
-std::pair<sched::RequestId, std::shared_ptr<StorageServer::Entry>> StorageServer::register_entry(
-    ActiveIoRequest request, Waiter waiter) {
-  auto entry = std::make_shared<Entry>();
-  const Seconds now = clock().now();
-  std::lock_guard lock(mu_);
-  const sched::RequestId id = request.id != 0 ? request.id : next_id_++;
-  request.id = id;
-  entry->request = request;
-  entry->interrupt = std::make_shared<std::atomic<bool>>(false);
-  entry->progress = std::make_shared<std::atomic<Bytes>>(0);
-  entry->waiters.push_back(std::move(waiter));
-  entry->enqueued_at = now;
-  entries_.emplace(id, entry);
-  obs_queue_depth_locked();
-  obs::flight_record(obs::FlightEventKind::kStateTransition, request.trace.trace_id,
-                     server_id_, id, "active request queued");
-  if (request.submitted_at >= 0) {
-    // Transport stage: client-side hand-off to server-side admission.
-    obs::observe(metrics_.transport_us, kernels::operation_kernel(request.operation),
-                 (now - request.submitted_at) * 1e6, request.trace.trace_id);
+const StorageServer::OpInfo& StorageServer::op_info_locked(const std::string& operation) {
+  if (auto it = ops_.find(operation); it != ops_.end()) return it->second;
+  OpInfo info;
+  info.kernel = kernels::operation_kernel(operation);
+  // The CE groups by kernel name (the rate table is keyed by kernel, not by
+  // the full parameterized operation string); the cost model is per-op
+  // (paper §III-D). Pipelines are scheduled under their rate-table
+  // bottleneck stage — the slowest stage dominates a streaming chain.
+  std::string rate_key = operation;
+  auto spec = kernels::OperationSpec::parse(operation);
+  if (spec.is_ok()) {
+    info.spec = std::move(spec).value();
+    rate_key = info.spec.kernel == "pipe" ? pipeline_rate_key(info.spec) : info.spec.kernel;
+    auto kernel = registry_.create(info.spec);
+    if (kernel.is_ok()) {
+      info.prototype = std::move(kernel).value();
+    } else {
+      info.status = kernel.status();
+    }
+  } else {
+    info.status = spec.status();
   }
-  return {id, entry};
+  auto [group, fresh] = rate_groups_.try_emplace(std::move(rate_key), 0);
+  if (fresh) {
+    // Ranks follow key order, so sorting by rank visits groups in key order.
+    std::size_t rank = 0;
+    for (auto& [key, r] : rate_groups_) r = rank++;
+  }
+  info.group = group;
+  return ops_.emplace(operation, std::move(info)).first->second;
+}
+
+std::shared_ptr<StorageServer::Entry> StorageServer::admit(ActiveIoRequest request,
+                                                           ActiveCompletion done,
+                                                           ActiveTicket& ticket) {
+  auto entry = std::make_shared<Entry>();
+  entry->request = std::move(request);
+  entry->enqueued_at = clock().now();
+  const ActiveIoRequest& req = entry->request;
+  std::lock_guard lock(mu_);
+  ticket.waiter = next_waiter_++;
+  // Coalesce onto an identical in-flight request when possible: one kernel
+  // run, many waiters.
+  if (auto twin = find_coalesce_locked(req)) {
+    ticket.id = twin->request.id;
+    ticket.coalesced = true;
+    twin->waiters.push_back(Waiter{ticket.waiter, std::move(done)});
+    ++stats_.active_coalesced;
+    obs::count(metrics_.coalesced);
+    obs::flight_record(obs::FlightEventKind::kCoalesce, req.trace.trace_id, server_id_,
+                       twin->request.id, "coalesced onto in-flight twin");
+    if (obs::tracing_enabled() && req.trace.valid()) {
+      obs::Tracer::global().instant(obs_name_ + ".coalesce", "server", req.trace.child("coalesce"));
+    }
+    return nullptr;
+  }
+  ticket.id = req.id != 0 ? req.id : next_id_++;
+  entry->request.id = ticket.id;
+  entry->op = &op_info_locked(req.operation);
+  entry->waiters.push_back(Waiter{ticket.waiter, std::move(done)});
+  entries_.emplace(ticket.id, entry);
+  obs_queue_depth_locked();
+  obs::flight_record(obs::FlightEventKind::kStateTransition, req.trace.trace_id, server_id_,
+                     ticket.id, "active request queued");
+  if (req.submitted_at >= 0) {
+    // Transport stage: client-side hand-off to server-side admission.
+    obs::observe(metrics_.transport_us, entry->op->kernel,
+                 (entry->enqueued_at - req.submitted_at) * 1e6, req.trace.trace_id);
+  }
+  return entry;
 }
 
 std::shared_ptr<fault::FaultInjector> StorageServer::faults() const {
@@ -380,37 +430,11 @@ StorageServer::ActiveTicket StorageServer::submit_active(ActiveIoRequest request
     return {};
   }
 
-  // Coalesce onto an identical in-flight request when possible: one kernel
-  // run, many waiters.
-  {
-    std::lock_guard lock(mu_);
-    if (auto twin = find_coalesce_locked(request)) {
-      ActiveTicket ticket;
-      ticket.id = twin->request.id;
-      ticket.waiter = next_waiter_++;
-      ticket.coalesced = true;
-      twin->waiters.push_back(Waiter{ticket.waiter, std::move(done)});
-      ++stats_.active_coalesced;
-      obs::count(metrics_.coalesced);
-      obs::flight_record(obs::FlightEventKind::kCoalesce, request.trace.trace_id,
-                         server_id_, twin->request.id, "coalesced onto in-flight twin");
-      if (obs::tracing_enabled() && request.trace.valid()) {
-        obs::Tracer::global().instant(obs_name_ + ".coalesce", "server",
-                                      request.trace.child("coalesce"));
-      }
-      return ticket;
-    }
-  }
-
   ActiveTicket ticket;
-  ticket.waiter = [&] {
-    std::lock_guard lock(mu_);
-    return next_waiter_++;
-  }();
-  auto [id, entry] = register_entry(std::move(request), Waiter{ticket.waiter, std::move(done)});
-  ticket.id = id;
+  auto entry = admit(std::move(request), std::move(done), ticket);
+  if (entry == nullptr) return ticket;  // attached to an in-flight twin
   if (config_.policy_on_arrival) evaluate_policy();
-  if (!launch_or_reject(id, entry)) return {};  // completed synchronously
+  if (!launch_or_reject(ticket.id, entry)) return {};  // completed synchronously
   return ticket;
 }
 
@@ -436,7 +460,6 @@ std::vector<StorageServer::ActiveTicket> StorageServer::submit_active_batch(
   // one scheduling decision instead of N admit-then-interrupt rounds.
   struct Registered {
     std::size_t index;
-    sched::RequestId id;
     std::shared_ptr<Entry> entry;
   };
   std::vector<Registered> registered;
@@ -451,35 +474,15 @@ std::vector<StorageServer::ActiveTicket> StorageServer::submit_active_batch(
       if (dones[i]) dones[i](std::move(*cached));
       continue;
     }
-    {
-      std::lock_guard lock(mu_);
-      if (auto twin = find_coalesce_locked(requests[i])) {
-        tickets[i].id = twin->request.id;
-        tickets[i].waiter = next_waiter_++;
-        tickets[i].coalesced = true;
-        twin->waiters.push_back(Waiter{tickets[i].waiter, std::move(dones[i])});
-        ++stats_.active_coalesced;
-        obs::count(metrics_.coalesced);
-        obs::flight_record(obs::FlightEventKind::kCoalesce, requests[i].trace.trace_id,
-                           server_id_, twin->request.id, "coalesced onto in-flight twin");
-        if (obs::tracing_enabled() && requests[i].trace.valid()) {
-          obs::Tracer::global().instant(obs_name_ + ".coalesce", "server",
-                                        requests[i].trace.child("coalesce"));
-        }
-        continue;
-      }
-      tickets[i].waiter = next_waiter_++;
+    if (auto entry = admit(std::move(requests[i]), std::move(dones[i]), tickets[i])) {
+      registered.push_back({i, std::move(entry)});
     }
-    auto [id, entry] =
-        register_entry(std::move(requests[i]), Waiter{tickets[i].waiter, std::move(dones[i])});
-    tickets[i].id = id;
-    registered.push_back({i, id, entry});
   }
 
   if (!registered.empty()) evaluate_policy();
 
   for (auto& reg : registered) {
-    if (!launch_or_reject(reg.id, reg.entry)) tickets[reg.index] = {};
+    if (!launch_or_reject(tickets[reg.index].id, reg.entry)) tickets[reg.index] = {};
   }
   return tickets;
 }
@@ -515,7 +518,7 @@ bool StorageServer::cancel_active(const ActiveTicket& ticket, const Status& reas
     // running kernel stops at its next chunk boundary and its late
     // completion finds no entry and is discarded.
     entry->reject_before_start = true;
-    entry->interrupt->store(true);
+    entry->interrupt.store(true);
     entries_.erase(it);
     obs_queue_depth_locked();
   }
@@ -523,7 +526,7 @@ bool StorageServer::cancel_active(const ActiveTicket& ticket, const Status& reas
 }
 
 ActiveIoResponse StorageServer::serve_active(ActiveIoRequest request) {
-  obs::ScopedTrace span(obs_name_ + ".serve_active", "server");
+  obs::ScopedTrace span(serve_active_span_, "server");
   const Seconds timeout = request.timeout;
 
   // One-shot completion slot shared with the worker. The mutex/cv pair is
@@ -660,56 +663,45 @@ std::string StorageServer::pipeline_rate_key(const kernels::OperationSpec& spec)
   return bottleneck;
 }
 
-Bytes StorageServer::result_size_for(const std::string& operation, Bytes input) {
-  {
-    std::lock_guard lock(mu_);
-    auto it = hsize_cache_.find(operation);
-    if (it != hsize_cache_.end() && it->second.first == input) return it->second.second;
-  }
-  auto kernel = registry_.create(operation);
-  const Bytes h = kernel.is_ok() ? kernel.value()->result_size(input) : 0;
-  {
-    std::lock_guard lock(mu_);
-    hsize_cache_[operation] = {input, h};
-  }
-  return h;
-}
-
-void StorageServer::evaluate_policy() {
-  obs::ScopedTrace span(obs_name_ + ".evaluate_policy", "ce");
-  // Snapshot the schedulable queue (queued + running, not yet demoted).
+std::vector<StorageServer::PolicyGroup> StorageServer::policy_groups() const {
   struct Item {
-    sched::RequestId id;
-    std::string op;
-    Bytes length;
+    std::map<std::string, std::size_t>::const_iterator group;
+    std::size_t rank;  ///< copied under mu_: a new rate key renumbers the ranks
+    sched::ActiveRequest request;
   };
   std::vector<Item> items;
   {
     std::lock_guard lock(mu_);
+    items.reserve(entries_.size());
     for (const auto& [id, entry] : entries_) {
       if (entry->state == EntryState::kDone || entry->reject_before_start) continue;
-      if (entry->interrupt->load()) continue;  // already being interrupted
-      items.push_back({id, entry->request.operation, entry->request.length});
+      if (entry->interrupt.load()) continue;  // already being interrupted
+      const OpInfo& op = *entry->op;
+      const Bytes d = entry->request.length;
+      items.push_back({op.group, op.group->second,
+                       sched::ActiveRequest{id, d, op.prototype ? op.prototype->result_size(d) : 0,
+                                            entry->request.operation}});
     }
   }
-  if (items.empty()) return;
-
-  // Group by kernel name (the rate table is keyed by kernel, not by the
-  // full parameterized operation string); the cost model is per-op
-  // (paper §III-D). Pipelines are scheduled under their rate-table
-  // bottleneck stage — the slowest stage dominates a streaming chain.
-  std::map<std::string, std::vector<sched::ActiveRequest>> groups;
-  for (const auto& item : items) {
-    auto spec = kernels::OperationSpec::parse(item.op);
-    std::string key = spec.is_ok() ? spec.value().kernel : item.op;
-    if (spec.is_ok() && spec.value().kernel == "pipe") {
-      key = pipeline_rate_key(spec.value());
-    }
-    groups[key].push_back(sched::ActiveRequest{
-        item.id, item.length, result_size_for(item.op, item.length), item.op});
+  // Entries iterate in id order; a stable sort by rank yields key order
+  // with ids ascending inside each group.
+  auto by_rank = [](const Item& a, const Item& b) { return a.rank < b.rank; };
+  if (!std::is_sorted(items.begin(), items.end(), by_rank)) {
+    std::stable_sort(items.begin(), items.end(), by_rank);
   }
+  std::vector<PolicyGroup> groups;
+  for (auto& item : items) {
+    if (groups.empty() || groups.back().rate_key != item.group->first) {
+      groups.push_back(PolicyGroup{item.group->first, {}});
+    }
+    groups.back().requests.push_back(std::move(item.request));
+  }
+  return groups;
+}
 
-  for (const auto& [op, requests] : groups) {
+void StorageServer::evaluate_policy() {
+  obs::ScopedTrace span(evaluate_policy_span_, "ce");
+  for (const auto& [op, requests] : policy_groups()) {
     auto policy = ce_.schedule(op, requests);
     if (!policy.is_ok()) {
       // No rates for this op: leave it active (never schedule blind
@@ -718,6 +710,7 @@ void StorageServer::evaluate_policy() {
                       requests.size());
       continue;
     }
+    if (policy.value().active_count() == requests.size()) continue;  // nothing demoted
     std::lock_guard lock(mu_);
     for (std::size_t i = 0; i < requests.size(); ++i) {
       if (policy.value().active[i]) continue;
@@ -735,12 +728,12 @@ void StorageServer::evaluate_policy() {
       } else if (entry.state == EntryState::kRunning) {
         // Hysteresis: nearly-finished kernels are cheaper to let complete
         // than to checkpoint, ship, and re-run remotely.
-        const Bytes done = entry.progress->load(std::memory_order_relaxed);
+        const Bytes done = entry.progress.load(std::memory_order_relaxed);
         const Bytes total = entry.request.length;
         const Bytes remaining = total > done ? total - done : 0;
         if (static_cast<double>(remaining) >
             config_.interrupt_min_remaining * static_cast<double>(total)) {
-          entry.interrupt->store(true);
+          entry.interrupt.store(true);
           obs::count(metrics_.interrupts_signalled);
           obs::flight_record(obs::FlightEventKind::kInterrupt, entry.request.trace.trace_id,
                              server_id_, requests[i].id, "running kernel interrupt signalled");
@@ -756,11 +749,7 @@ void StorageServer::evaluate_policy() {
 
 void StorageServer::run_kernel(sched::RequestId id) {
   std::shared_ptr<Entry> entry;
-  ActiveIoRequest request;
-  std::shared_ptr<std::atomic<bool>> interrupt;
-  std::shared_ptr<std::atomic<Bytes>> progress;
   std::shared_ptr<fault::FaultInjector> fi;
-  Seconds enqueued_at = 0;
   bool rejected = false;  // snapshot under mu_: cancel_active writes the flag
   {
     std::lock_guard lock(mu_);
@@ -773,12 +762,14 @@ void StorageServer::run_kernel(sched::RequestId id) {
     } else {
       entry->state = EntryState::kRunning;
     }
-    request = entry->request;
-    interrupt = entry->interrupt;
-    progress = entry->progress;
-    enqueued_at = entry->enqueued_at;
     fi = faults_;
   }
+  // The request, its OpInfo and enqueued_at are immutable once registered,
+  // and `entry` keeps them alive: read them in place, without mu_.
+  const ActiveIoRequest& request = entry->request;
+  const OpInfo& op = *entry->op;
+  std::atomic<bool>& interrupt = entry->interrupt;
+  std::atomic<Bytes>& progress = entry->progress;
   if (rejected) {
     ActiveIoResponse resp;
     resp.outcome = ActiveOutcome::kRejected;
@@ -795,7 +786,7 @@ void StorageServer::run_kernel(sched::RequestId id) {
     const bool tracing = obs::tracing_enabled();
     const bool metrics = obs::metrics_enabled();
     if (tracing || metrics) {
-      const double wait_us = (clock().now() - enqueued_at) * 1e6;
+      const double wait_us = (clock().now() - entry->enqueued_at) * 1e6;
       if (tracing && request.trace.valid()) {
         auto& tracer = obs::Tracer::global();
         const auto qctx = request.trace.child("queue");
@@ -804,8 +795,7 @@ void StorageServer::run_kernel(sched::RequestId id) {
         tracer.flow_finish(obs_name_ + ".queue_wait", "flow", request.trace.span_id, qctx);
       }
       if (metrics) {
-        metrics_.queue_wait_us.get(kernels::operation_kernel(request.operation))
-            .observe(wait_us, request.trace.trace_id);
+        metrics_.queue_wait_us.get(op.kernel).observe(wait_us, request.trace.trace_id);
       }
     }
   }
@@ -824,7 +814,12 @@ void StorageServer::run_kernel(sched::RequestId id) {
     const double t0 = obs_on ? obs::now_us() : 0.0;
 
     [&] {
-      auto kernel_or = registry_.create(request.operation);
+      if (!op.status.is_ok()) {
+        resp.outcome = ActiveOutcome::kFailed;
+        resp.status = op.status;
+        return;
+      }
+      auto kernel_or = registry_.create(op.spec);
       if (!kernel_or.is_ok()) {
         resp.outcome = ActiveOutcome::kFailed;
         resp.status = kernel_or.status();
@@ -862,7 +857,7 @@ void StorageServer::run_kernel(sched::RequestId id) {
         enum class StopCause { kNone, kInterrupt, kCrash };
         StopCause cause = StopCause::kNone;
         auto stop = [&]() -> bool {
-          if (interrupt->load()) {
+          if (interrupt.load()) {
             cause = StopCause::kInterrupt;
             return true;
           }
@@ -876,7 +871,7 @@ void StorageServer::run_kernel(sched::RequestId id) {
             // promptly. Slices run on the injected clock — deterministic
             // jumps under DST.
             Seconds stall = fi->inject_stall(server_id_);
-            while (stall > 0.0 && !interrupt->load()) {
+            while (stall > 0.0 && !interrupt.load()) {
               const Seconds slice = std::min(stall, 0.005);
               clock().sleep(slice);
               stall -= slice;
@@ -897,18 +892,13 @@ void StorageServer::run_kernel(sched::RequestId id) {
         // deterministic jumps.
         double pace_rate = 0.0;
         if (config_.pace_kernel_rates) {
-          auto spec = kernels::OperationSpec::parse(request.operation);
-          std::string rate_key = spec.is_ok() ? spec.value().kernel : request.operation;
-          if (spec.is_ok() && spec.value().kernel == "pipe") {
-            rate_key = pipeline_rate_key(spec.value());
-          }
-          if (auto rates = ce_.rates().get(rate_key); rates.is_ok()) {
+          if (auto rates = ce_.rates().get(op.group->first); rates.is_ok()) {
             pace_rate = rates.value().storage_max;
             if (config_.capacity_factor > 0.0) pace_rate *= config_.capacity_factor;
           }
         }
         auto note_progress = [&](Bytes chunk, Bytes total) {
-          progress->store(total, std::memory_order_relaxed);
+          progress.store(total, std::memory_order_relaxed);
           if (pace_rate > 0.0 && chunk > 0) {
             clock().sleep(static_cast<double>(chunk) / pace_rate);
           }
@@ -919,7 +909,7 @@ void StorageServer::run_kernel(sched::RequestId id) {
         if (!streamed.is_ok()) {
           resp.outcome = ActiveOutcome::kFailed;
           resp.status = streamed.status();
-          done_bytes = progress->load(std::memory_order_relaxed);
+          done_bytes = progress.load(std::memory_order_relaxed);
           return;
         }
         const Bytes processed = streamed.value().processed;
@@ -946,8 +936,8 @@ void StorageServer::run_kernel(sched::RequestId id) {
         if (obs_on && processed > 0) {
           const double secs = (obs::now_us() - t0) * 1e-6;
           if (secs > 0.0) {
-            metrics_.kernel_mibps.get(kernels::operation_kernel(request.operation))
-                .observe(static_cast<double>(processed) / (1024.0 * 1024.0) / secs);
+            metrics_.kernel_mibps.get(op.kernel).observe(static_cast<double>(processed) /
+                                                         (1024.0 * 1024.0) / secs);
           }
         }
         done_bytes = processed;
@@ -974,8 +964,7 @@ void StorageServer::run_kernel(sched::RequestId id) {
       }
     }();
     if (obs_on) {
-      metrics_.kernel_exec_us.get(kernels::operation_kernel(request.operation))
-          .observe(obs::now_us() - t0, request.trace.trace_id);
+      metrics_.kernel_exec_us.get(op.kernel).observe(obs::now_us() - t0, request.trace.trace_id);
     }
   }
   complete_entry(id, entry, std::move(resp), done_bytes);

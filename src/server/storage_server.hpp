@@ -24,6 +24,19 @@
 // COALESCED: the second submission attaches as an extra waiter on the
 // first's entry and both receive the one kernel run's result. Repeated
 // hot-object analytics from many clients cost one execution per wave.
+//
+// Admission is ONE PASS per arrival. An operation string is parsed once
+// per server, the first time it is seen, into an OpInfo: its spec, the
+// kernel name that labels the stage.* and kernel_mibps.* metrics, the rate
+// key its CE group is scheduled under, and a prototype kernel that answers
+// h(d). submit_active() then takes mu_ once to assign the waiter, look for
+// a coalescing twin and register the entry (one allocation: the interrupt
+// flag and progress counter live inline), moving the request in. The
+// per-arrival policy pass groups the queue by the cached rate keys, and
+// the worker creates the kernel from the cached spec and reads the request
+// in place. The cache holds one OpInfo per distinct operation string and
+// is never trimmed: the operations a deployment runs are a small, fixed
+// set.
 #pragma once
 
 #include <atomic>
@@ -204,6 +217,18 @@ class StorageServer {
   /// Current in-flight active request count (queued + running entries).
   std::size_t inflight() const;
 
+  /// One operation group of the scheduler's view of the queue.
+  struct PolicyGroup {
+    std::string rate_key;  ///< the rate-table key the group is scheduled under
+    std::vector<sched::ActiveRequest> requests;  ///< ids ascending; size d, result_size h(d)
+  };
+
+  /// What the next policy evaluation hands ContentionEstimator::schedule():
+  /// every queued or running request not yet demoted or interrupted,
+  /// grouped by rate key (the kernel name; a pipe's bottleneck stage), in
+  /// key order.
+  std::vector<PolicyGroup> policy_groups() const;
+
  private:
   enum class EntryState { kQueued, kRunning, kDone };
 
@@ -212,27 +237,43 @@ class StorageServer {
     ActiveCompletion done;
   };
 
+  /// Everything admission, scheduling and the worker need to know about
+  /// one operation string, derived once (see the header comment).
+  struct OpInfo {
+    Status status;                ///< why no kernel can be built (parse/create error)
+    kernels::OperationSpec spec;  ///< parsed operation; valid when status is ok
+    std::string kernel;           ///< class of the stage.* / kernel_mibps.* families
+    /// CE group: rate key -> its rank among the keys seen (rank = key order).
+    std::map<std::string, std::size_t>::iterator group;
+    std::unique_ptr<kernels::Kernel> prototype;  ///< answers h(d); null on error
+  };
+
   struct Entry {
     ActiveIoRequest request;
+    const OpInfo* op = nullptr;
     EntryState state = EntryState::kQueued;
     bool reject_before_start = false;
-    std::shared_ptr<std::atomic<bool>> interrupt;
-    std::shared_ptr<std::atomic<Bytes>> progress;  ///< bytes processed so far
+    std::atomic<bool> interrupt{false};
+    std::atomic<Bytes> progress{0};  ///< bytes processed so far
     std::vector<Waiter> waiters;
     Seconds enqueued_at = 0;  ///< clock().now() at registration (queue-wait stage)
   };
 
-  /// Build the CE queue snapshot, run the scheduler per operation group,
-  /// and apply demotions (reject queued / interrupt running). Caller must
-  /// NOT hold mu_.
+  /// Run the scheduler over policy_groups() and apply demotions (reject
+  /// queued / interrupt running). Caller must NOT hold mu_.
   void evaluate_policy();
 
   /// Under mu_: find an in-flight entry this request can coalesce onto.
   std::shared_ptr<Entry> find_coalesce_locked(const ActiveIoRequest& request);
 
-  /// Insert a request into the entry table (assigning an id if needed).
-  std::pair<sched::RequestId, std::shared_ptr<Entry>> register_entry(ActiveIoRequest request,
-                                                                     Waiter waiter);
+  /// Under mu_: the OpInfo of `operation`, built on first sight.
+  const OpInfo& op_info_locked(const std::string& operation);
+
+  /// Admit one request under a single hold of mu_: assign its waiter id,
+  /// then attach it to a coalescing twin (returns null) or register a new
+  /// entry (assigning an id if needed). Fills `ticket`.
+  std::shared_ptr<Entry> admit(ActiveIoRequest request, ActiveCompletion done,
+                               ActiveTicket& ticket);
 
   /// If the entry was demoted before starting, complete its waiters with a
   /// rejection and return false; otherwise submit its kernel to the pool.
@@ -257,9 +298,6 @@ class StorageServer {
   /// Worker-pool body for one request.
   void run_kernel(sched::RequestId id);
 
-  /// h(d) for an operation, via a throwaway kernel instance (cached).
-  Bytes result_size_for(const std::string& operation, Bytes input);
-
   /// Snapshot of the attached injector (nullable); takes mu_.
   std::shared_ptr<fault::FaultInjector> faults() const;
 
@@ -283,6 +321,8 @@ class StorageServer {
   ContentionEstimator ce_;
   Config config_;
   const std::string obs_name_;  ///< metric and span prefix: "server<id>"
+  const std::string serve_active_span_;     ///< "server<id>.serve_active"
+  const std::string evaluate_policy_span_;  ///< "server<id>.evaluate_policy"
 
   /// Handles for every metric this server emits per request
   /// (docs/OBSERVABILITY.md), resolved on first enabled emission.
@@ -307,8 +347,11 @@ class StorageServer {
   std::shared_ptr<fault::FaultInjector> faults_;
   std::size_t normal_inflight_ = 0;
 
-  // Cache of h(d)-per-byte behaviour: operation -> (probe input, result).
-  std::map<std::string, std::pair<Bytes, Bytes>> hsize_cache_;
+  // Operation cache (under mu_). Map nodes never move, so entries keep
+  // plain pointers to their OpInfo and OpInfo keeps an iterator to its
+  // rate group.
+  std::map<std::string, OpInfo, std::less<>> ops_;
+  std::map<std::string, std::size_t> rate_groups_;
 
   // Active-result cache (LRU by last_use tick).
   struct CacheKey {

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "client/active_client.hpp"
+#include "common/clock.hpp"
+#include "obs/metrics.hpp"
 #include "kernels/sum.hpp"
 #include "pfs/client.hpp"
 #include "rpc/inprocess.hpp"
@@ -390,6 +392,52 @@ TEST(Rpc, BreakerOpensAfterConsecutiveUnavailability) {
   auto r = chain.head->submit(fx.active_env("sum")).wait();
   EXPECT_EQ(r.active.outcome, server::ActiveOutcome::kCompleted);
   EXPECT_FALSE(chain.breaker->is_open(0));
+}
+
+/// Holds every submission for `hold` seconds before passing it down: work
+/// that completes inside submit(), as an in-process read's server side does.
+class SlowHop final : public Filter {
+ public:
+  SlowHop(std::shared_ptr<Transport> next, Seconds hold) : Filter(std::move(next)), hold_(hold) {}
+  PendingReply submit(Envelope env) override {
+    clock().sleep(hold_);
+    return next_->submit(std::move(env));
+  }
+  std::vector<PendingReply> submit_batch(std::vector<Envelope> envs) override {
+    clock().sleep(hold_);
+    return next_->submit_batch(std::move(envs));
+  }
+
+ private:
+  const Seconds hold_;
+};
+
+TEST(Rpc, ObsLatencyIncludesWorkDoneInsideSubmit) {
+  // An in-process read completes inside submit(); its recorded latency
+  // must still cover that server-side time, on the single and batch paths.
+  Fixture fx(4096);
+  auto& reg = obs::MetricsRegistry::global();
+  ASSERT_FALSE(reg.enabled());
+  reg.set_enabled(true);
+  constexpr Seconds kServerSide = 0.002;
+  {
+    auto obs_t = std::make_shared<ObsTransport>(std::make_shared<SlowHop>(
+        std::make_shared<InProcessTransport>(std::vector<server::StorageServer*>{fx.server.get()}),
+        kServerSide));
+    Envelope env;
+    env.target = 0;
+    env.kind = OpKind::kRead;
+    env.read.handle = fx.meta.handle;
+    env.read.length = fx.meta.size;
+    ASSERT_TRUE(obs_t->submit(env).wait().read.status.is_ok());
+    for (auto& reply : obs_t->submit_batch({env, env})) {
+      ASSERT_TRUE(reply.wait().read.status.is_ok());
+    }
+  }
+  reg.set_enabled(false);
+  const auto latency = reg.histogram("rpc.latency_us.read").summary();
+  EXPECT_EQ(latency.count, 3u);
+  EXPECT_GE(latency.min, kServerSide * 1e6);
 }
 
 TEST(Rpc, TokenBucketChargesExtentBytesExactlyOnce) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <mutex>
 #include <thread>
 
@@ -369,6 +370,282 @@ TEST(StorageServer, ConcurrentSumsAllComplete) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(ok.load(), kClients);
+}
+
+// ---------------------------------------------------------------- one-pass admission
+//
+// The server derives each operation's CE group, h(d) and kernel spec once
+// and reuses them. These tests hold the single worker on a "gate" kernel so
+// later arrivals provably sit in the queue, then read the scheduler's view
+// of that queue (policy_groups()) and release the gate.
+
+/// Opened by the test; a "gate" kernel blocks its worker until then.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool open = false;
+
+  void wait_entered() {
+    std::unique_lock lock(mu);
+    clock().wait(cv, lock, [&] { return entered; });
+  }
+  void release() {
+    {
+      std::lock_guard lock(mu);
+      open = true;
+    }
+    clock().wake_all(cv);
+  }
+};
+
+class GateKernel final : public kernels::ItemwiseKernel {
+ public:
+  explicit GateKernel(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+  std::string name() const override { return "gate"; }
+  std::vector<std::uint8_t> finalize() const override { return {}; }
+  Bytes result_size(Bytes) const override { return 0; }
+  Checkpoint checkpoint() const override {
+    Checkpoint ck;
+    save_carry(ck);
+    return ck;
+  }
+  Status restore(const Checkpoint& ck) override { return load_carry(ck); }
+  std::unique_ptr<kernels::Kernel> clone() const override {
+    return std::make_unique<GateKernel>(gate_);
+  }
+
+ protected:
+  void reset_state() override {}
+  void process_items(std::span<const double>) override {
+    std::unique_lock lock(gate_->mu);
+    gate_->entered = true;
+    clock().wake_all(gate_->cv);
+    clock().wait(gate_->cv, lock, [&] { return gate_->open; });
+  }
+
+ private:
+  std::shared_ptr<Gate> gate_;
+};
+
+/// One-core server over 4096 doubles whose registry also holds "gate".
+struct GatedServer {
+  explicit GatedServer(const std::string& optimizer = "all-active")
+      : fs(1, 64_KiB), client(fs), gate(std::make_shared<Gate>()) {
+    auto m = pfs::write_doubles(client, "/data", 4096,
+                                [](std::size_t i) { return static_cast<double>(i % 97); });
+    EXPECT_TRUE(m.is_ok());
+    meta = m.value();
+    registry.register_kernel("gate", [g = gate](const kernels::OperationSpec&) {
+      return Result<std::unique_ptr<kernels::Kernel>>(std::make_unique<GateKernel>(g));
+    });
+    StorageServer::Config sc;
+    sc.cores = 1;
+    server = std::make_unique<StorageServer>(fs, 0, registry, ce_config(optimizer),
+                                             RateTable::paper_rates(), sc);
+  }
+  ~GatedServer() {
+    gate->release();
+    server.reset();  // its last completions still land in `responses`
+  }
+
+  /// Occupy the single worker with a gate request.
+  void close_gate() {
+    submit("gate", sizeof(double));
+    gate->wait_entered();
+  }
+
+  /// Submit `operation` over the first `length` bytes; the outcome lands
+  /// in responses[<submission index>].
+  void submit(const std::string& operation, Bytes length) {
+    ActiveIoRequest req;
+    req.handle = meta.handle;
+    req.length = length;
+    req.operation = operation;
+    submit(std::move(req));
+  }
+  void submit(ActiveIoRequest req) {
+    std::size_t slot;
+    {
+      std::lock_guard lock(mu);
+      slot = responses.size();
+      responses.emplace_back();
+    }
+    server->submit_active(std::move(req), [this, slot](ActiveIoResponse r) {
+      {
+        std::lock_guard lock(mu);
+        responses[slot] = std::move(r);
+        ++done;
+      }
+      clock().wake_all(cv);
+    });
+  }
+
+  /// Open the gate and wait for every submission's completion.
+  void drain() {
+    gate->release();
+    std::unique_lock lock(mu);
+    clock().wait(cv, lock, [&] { return done == responses.size(); });
+  }
+
+  const StorageServer::PolicyGroup* group(const std::string& rate_key) {
+    groups = server->policy_groups();
+    for (const auto& g : groups) {
+      if (g.rate_key == rate_key) return &g;
+    }
+    return nullptr;
+  }
+
+  pfs::FileSystem fs;
+  pfs::Client client;
+  pfs::FileMeta meta;
+  std::shared_ptr<Gate> gate;
+  kernels::Registry registry = builtins();
+  std::unique_ptr<StorageServer> server;
+  std::vector<StorageServer::PolicyGroup> groups;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<ActiveIoResponse> responses;
+  std::size_t done = 0;
+};
+
+TEST(OnePassAdmission, ParameterisationsOfOneKernelShareACeGroup) {
+  GatedServer gs;
+  gs.close_gate();
+  gs.submit("gaussian2d:width=16", 16 * 64);
+  gs.submit("gaussian2d:width=32,mode=full", 32 * 64);
+  gs.submit("gaussian2d:width=16", 16 * 128);
+
+  const auto& groups = gs.server->policy_groups();
+  ASSERT_EQ(groups.size(), 2u);  // key order: "gate" < "gaussian2d"
+  EXPECT_EQ(groups[0].rate_key, "gate");
+  ASSERT_EQ(groups[1].rate_key, "gaussian2d");
+  const auto& reqs = groups[1].requests;
+  ASSERT_EQ(reqs.size(), 3u);
+  EXPECT_EQ(reqs[0].operation, "gaussian2d:width=16");
+  EXPECT_EQ(reqs[1].operation, "gaussian2d:width=32,mode=full");
+  EXPECT_EQ(reqs[2].size, 16u * 128);
+  EXPECT_LT(reqs[0].id, reqs[1].id);  // arrival (id) order inside the group
+  EXPECT_LT(reqs[1].id, reqs[2].id);
+
+  gs.drain();
+  for (const auto& r : gs.responses) EXPECT_EQ(r.outcome, ActiveOutcome::kCompleted);
+}
+
+TEST(OnePassAdmission, PipeIsGroupedUnderItsBottleneckStage) {
+  GatedServer gs;
+  gs.close_gate();
+  gs.submit("sum", 4096);
+  // gaussian2d (80 MB/s) is slower than sum (860 MB/s): the chain is
+  // scheduled with the gaussian requests.
+  gs.submit("pipe:ops=gaussian2d;width=16;mode=full|sum", 16 * 64);
+  gs.submit("gaussian2d:width=16", 16 * 64);
+  // A stage without rates leaves the chain unschedulable: group "pipe".
+  gs.submit("pipe:ops=scale;a=2|sum", 4096);
+
+  const auto* gauss = gs.group("gaussian2d");
+  ASSERT_NE(gauss, nullptr);
+  ASSERT_EQ(gauss->requests.size(), 2u);
+  EXPECT_EQ(gauss->requests[0].operation, "pipe:ops=gaussian2d;width=16;mode=full|sum");
+  const auto* sum = gs.group("sum");
+  ASSERT_NE(sum, nullptr);
+  EXPECT_EQ(sum->requests.size(), 1u);
+  const auto* pipe = gs.group("pipe");
+  ASSERT_NE(pipe, nullptr);
+  ASSERT_EQ(pipe->requests.size(), 1u);
+  EXPECT_EQ(pipe->requests[0].operation, "pipe:ops=scale;a=2|sum");
+
+  gs.drain();
+  for (const auto& r : gs.responses) EXPECT_EQ(r.outcome, ActiveOutcome::kCompleted);
+}
+
+TEST(OnePassAdmission, OperationWithoutRatesStaysActive) {
+  // Eight whole-object requests queued on one core: the exhaustive policy
+  // demotes gaussian2d at this depth, but minmax has no rates, so it is
+  // never demoted blind.
+  GatedServer gs("exhaustive");
+  gs.close_gate();
+  for (int i = 0; i < 8; ++i) gs.submit("minmax", gs.meta.size);
+  for (int i = 0; i < 8; ++i) gs.submit("gaussian2d:width=64", gs.meta.size);
+  gs.drain();
+
+  int demoted = 0;
+  for (std::size_t i = 1; i < gs.responses.size(); ++i) {
+    const auto& r = gs.responses[i];
+    if (i <= 8) {
+      EXPECT_EQ(r.outcome, ActiveOutcome::kCompleted) << "minmax request " << i;
+    } else if (r.outcome == ActiveOutcome::kRejected) {
+      ++demoted;
+    }
+  }
+  EXPECT_GT(demoted, 0) << "the rated kernel at the same depth should be demoted";
+}
+
+TEST(OnePassAdmission, ResultSizeHandedToTheCeMatchesAFreshKernel) {
+  GatedServer gs;
+  gs.close_gate();
+  const std::vector<std::pair<std::string, Bytes>> ops = {
+      {"sum", 800},
+      {"gaussian2d:width=16", 16 * 8 * 10},
+      {"gaussian2d:width=16,mode=full", 16 * 8 * 10},
+      {"gaussian2d:width=16,mode=full", 16 * 8 * 25},  // same op, other d
+      {"histogram:bins=8,lo=0,hi=100", 4096},
+      {"pipe:ops=scale;a=2|sum", 1024},
+      {"topk:k=5", 2048},
+  };
+  for (const auto& [op, d] : ops) gs.submit(op, d);
+
+  std::size_t checked = 0;
+  for (const auto& group : gs.server->policy_groups()) {
+    for (const auto& req : group.requests) {
+      auto fresh = gs.registry.create(req.operation);
+      ASSERT_TRUE(fresh.is_ok()) << req.operation;
+      EXPECT_EQ(req.result_size, fresh.value()->result_size(req.size))
+          << req.operation << " d=" << req.size;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, ops.size() + 1);  // + the gate request
+  gs.drain();
+}
+
+TEST(OnePassAdmission, ResumedRequestRestoresItsCheckpoint) {
+  // A client-side run over the first half hands its checkpoint to the
+  // server, which must continue from it rather than start over.
+  Fixture fx(4096, "all-active");
+  const Bytes half = fx.meta.size / 2;
+  auto first = fx.server->registry().create("sum");
+  ASSERT_TRUE(first.is_ok());
+  auto bytes = fx.fs.data_server(0).read_object_ref(fx.meta.handle, 0, half);
+  ASSERT_TRUE(bytes.is_ok());
+  first.value()->consume(bytes.value().span());
+
+  for (int round = 0; round < 2; ++round) {  // the second reuses the cached op
+    ActiveIoRequest req;
+    req.handle = fx.meta.handle;
+    req.length = fx.meta.size;
+    req.operation = "sum";
+    req.resume_checkpoint = first.value()->checkpoint().encode();
+    req.resume_from = half;
+    auto resp = fx.server->serve_active(req);
+    ASSERT_EQ(resp.outcome, ActiveOutcome::kCompleted) << resp.status.to_string();
+    auto sum = kernels::SumResult::decode(resp.result);
+    ASSERT_TRUE(sum.is_ok());
+    EXPECT_EQ(sum.value().count, 4096u);
+    double expect = 0;
+    for (std::size_t i = 0; i < 4096; ++i) expect += static_cast<double>(i % 97);
+    EXPECT_DOUBLE_EQ(sum.value().sum, expect);
+  }
+  // A checkpoint of another kernel is refused, typed, not silently reset.
+  ActiveIoRequest bad;
+  bad.handle = fx.meta.handle;
+  bad.length = fx.meta.size;
+  bad.operation = "minmax";
+  bad.resume_checkpoint = first.value()->checkpoint().encode();
+  bad.resume_from = half;
+  auto resp = fx.server->serve_active(bad);
+  EXPECT_EQ(resp.outcome, ActiveOutcome::kFailed);
 }
 
 }  // namespace
